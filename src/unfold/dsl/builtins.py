@@ -12,14 +12,12 @@ from typing import Callable, Optional
 
 from ..errors import EvaluationError, SemanticError
 from ..graphs import (
-    COMPLEMENT_INNER,
-    INTERSECT_INNER,
-    MIRROR_INNER,
-    UNION_INNER,
-    add_edge,
     add_vertex,
-    fold_succ,
-    fold_vertex,
+    complement_step,
+    intersect_step,
+    mirror_step,
+    path_step,
+    union_step,
 )
 from ..terms import Closure, apply_lambda
 from ..values import CellRef, QueueRef, StackRef, Value
@@ -100,20 +98,8 @@ def _count_gt(env, args):
 
 def _path_step(env, args):
     (g,) = _expect_args("path-step", args, 1)
-    flag = CellRef(True)
-    prev = CellRef(None)
-    started = CellRef(False)
-    env["flag"] = flag
-
-    def fn(x):
-        ok = x in g.dom
-        if started.value:
-            ok = ok and x in g.suc(prev.value)
-        flag.value = flag.value and ok
-        prev.value = x
-        started.value = True
-
-    return BoundConsumer(fn=fn, result=lambda: flag.value)
+    flag = env["flag"] = CellRef(True)
+    return BoundConsumer(fn=path_step(g, flag), result=lambda: flag.value)
 
 
 def _add_vertex(env, args):
@@ -127,52 +113,9 @@ def _restrict_vertex(env, args):
         fn=lambda a, v: add_vertex(a, v) if v in keep.dom else a)
 
 
-def _union_step(env, args):
-    g1, g2 = _expect_args("union-step", args, 2)
-
-    def fn(acc, v):
-        return fold_succ(lambda a, e: add_edge(a, v, e),
-                         add_vertex(acc, v), g1, v,
-                         inv=apply_lambda(UNION_INNER, [g1, g2, v]))
-
-    return BoundConsumer(fn=fn)
-
-
-def _intersect_step(env, args):
-    g1, g2 = _expect_args("intersect-step", args, 2)
-
-    def fn(acc, v):
-        if v not in acc.dom:
-            return acc
-        return fold_succ(
-            lambda a, e: add_edge(a, v, e) if e in g2.suc(v) else a,
-            add_vertex(acc, v), g1, v,
-            inv=apply_lambda(INTERSECT_INNER, [g1, g2, v]))
-
-    return BoundConsumer(fn=fn)
-
-
-def _complement_step(env, args):
-    (g,) = _expect_args("complement-step", args, 1)
-
-    def fn(acc, v):
-        return fold_vertex(
-            lambda a, u: a if u in g.suc(v) else add_edge(a, v, u),
-            g, add_vertex(acc, v),
-            inv=apply_lambda(COMPLEMENT_INNER, [g, v]))
-
-    return BoundConsumer(fn=fn)
-
-
-def _mirror_step(env, args):
-    (g,) = _expect_args("mirror-step", args, 1)
-
-    def fn(acc, v):
-        return fold_succ(lambda a, e: add_edge(a, e, v),
-                         add_vertex(acc, v), g, v,
-                         inv=apply_lambda(MIRROR_INNER, [g, v]))
-
-    return BoundConsumer(fn=fn)
+def _graph_step(name, make, arity):
+    """Builtin ``name``: the graphs-module step ``make`` over its arguments."""
+    return lambda env, args: BoundConsumer(fn=make(*_expect_args(name, args, arity)))
 
 
 BUILTINS = {
@@ -186,10 +129,10 @@ BUILTINS = {
     "path-step": _path_step,
     "add-vertex": _add_vertex,
     "restrict-vertex": _restrict_vertex,
-    "union-step": _union_step,
-    "intersect-step": _intersect_step,
-    "complement-step": _complement_step,
-    "mirror-step": _mirror_step,
+    "union-step": _graph_step("union-step", union_step, 2),
+    "intersect-step": _graph_step("intersect-step", intersect_step, 2),
+    "complement-step": _graph_step("complement-step", complement_step, 1),
+    "mirror-step": _graph_step("mirror-step", mirror_step, 1),
 }
 
 

@@ -173,16 +173,12 @@ def fold_succ(consumer: Callable[[Value, Value], Value], init: Value,
 # comes first, then the accumulator; enclosing levels follow, nearest first.
 # Leading graph/vertex parameters are fixed by partial application.
 
-def _v(name: str) -> T.Var:
-    return T.Var(name)
-
-
 def _dom(g: str) -> T.Term:
-    return T.Field(_v(g), "dom")
+    return T.Field(T.Var(g), "dom")
 
 
 def _suc(g: str, u: T.Term) -> T.Term:
-    return T.App(T.Field(_v(g), "suc"), (u,))
+    return T.App(T.Field(T.Var(g), "suc"), (u,))
 
 
 def _eq(a: T.Term, b: T.Term) -> T.Term:
@@ -196,173 +192,165 @@ def _and(*conjuncts: T.Term) -> T.Term:
     return out
 
 
-def _forall_mem(var: str, coll: T.Term, body: T.Term) -> T.Term:
-    return T.ForallMem(var, coll, body)
-
-
-def _lam(params: str, body: T.Term) -> Closure:
-    return T.lam(params, body)
-
-
-_U = _v("u")
-_W = _v("w")
-_UNVISITED = lambda g: T.DiffOp(_dom(g), T.SetOf(_v("visited")))
+_U = T.Var("u")
+_W = T.Var("w")
+_UNVISITED = lambda g: T.DiffOp(_dom(g), T.SetOf(T.Var("visited")))
 
 # vertex-completion pass of union: dom grows with the visited vertices,
 # successors still exactly those of g2
-UNION_VERTICES = _lam(
+UNION_VERTICES = T.lam(
     "g1 g2 visited acc",
     _and(
-        _eq(_dom("acc"), T.UnionOp(T.SetOf(_v("visited")), _dom("g2"))),
-        _forall_mem("u", _dom("acc"), _eq(_suc("acc", _U), _suc("g2", _U))),
+        _eq(_dom("acc"), T.UnionOp(T.SetOf(T.Var("visited")), _dom("g2"))),
+        T.ForallMem("u", _dom("acc"), _eq(_suc("acc", _U), _suc("g2", _U))),
     ),
 )
 
 # edge-completion pass of union, outer level
-UNION_OUTER = _lam(
+UNION_OUTER = T.lam(
     "g1 g2 visited acc",
     _and(
         _eq(_dom("acc"), T.UnionOp(_dom("g1"), _dom("g2"))),
-        _forall_mem("u", _v("visited"),
+        T.ForallMem("u", T.Var("visited"),
                     _eq(_suc("acc", _U),
                         T.UnionOp(_suc("g1", _U), _suc("g2", _U)))),
-        _forall_mem("u", _UNVISITED("acc"),
+        T.ForallMem("u", _UNVISITED("acc"),
                     _eq(_suc("acc", _U), _suc("g2", _U))),
     ),
 )
 
 # edge-completion pass of union, inner level: the current source vertex
 # accumulates its successors one by one
-UNION_INNER = _lam(
+UNION_INNER = T.lam(
     "g1 g2 src visited' acc' visited acc",
     _and(
         _eq(_dom("acc'"), T.UnionOp(_dom("g1"), _dom("g2"))),
-        _forall_mem("u", _UNVISITED("acc'"),
+        T.ForallMem("u", _UNVISITED("acc'"),
                     _eq(_suc("acc'", _U), _suc("g2", _U))),
-        _forall_mem("u", _v("visited"),
-                    T.Implies(T.Not(_eq(_U, _v("src"))),
+        T.ForallMem("u", T.Var("visited"),
+                    T.Implies(T.Not(_eq(_U, T.Var("src"))),
                               _eq(_suc("acc'", _U),
                                   T.UnionOp(_suc("g1", _U), _suc("g2", _U))))),
-        _eq(_suc("acc'", _v("src")),
-            T.UnionOp(T.SetOf(_v("visited'")), _suc("g2", _v("src")))),
+        _eq(_suc("acc'", T.Var("src")),
+            T.UnionOp(T.SetOf(T.Var("visited'")), _suc("g2", T.Var("src")))),
     ),
 )
 
-INTERSECT_VERTICES = _lam(
+INTERSECT_VERTICES = T.lam(
     "g1 g2 visited acc",
     _and(
-        _eq(_dom("acc"), T.InterOp(T.SetOf(_v("visited")), _dom("g2"))),
-        _forall_mem("u", _dom("acc"), _eq(_suc("acc", _U), T.EmptySetLit())),
+        _eq(_dom("acc"), T.InterOp(T.SetOf(T.Var("visited")), _dom("g2"))),
+        T.ForallMem("u", _dom("acc"), _eq(_suc("acc", _U), T.EmptySetLit())),
     ),
 )
 
-INTERSECT_OUTER = _lam(
+INTERSECT_OUTER = T.lam(
     "g1 g2 visited acc",
     _and(
         _eq(_dom("acc"), T.InterOp(_dom("g1"), _dom("g2"))),
-        _forall_mem("u", T.InterOp(T.SetOf(_v("visited")), _dom("acc")),
+        T.ForallMem("u", T.InterOp(T.SetOf(T.Var("visited")), _dom("acc")),
                     _eq(_suc("acc", _U),
                         T.InterOp(_suc("g1", _U), _suc("g2", _U)))),
-        _forall_mem("u", _UNVISITED("acc"),
+        T.ForallMem("u", _UNVISITED("acc"),
                     _eq(_suc("acc", _U), T.EmptySetLit())),
     ),
 )
 
-INTERSECT_INNER = _lam(
+INTERSECT_INNER = T.lam(
     "g1 g2 src visited' acc' visited acc",
     _and(
         _eq(_dom("acc'"), T.InterOp(_dom("g1"), _dom("g2"))),
-        _eq(_suc("acc'", _v("src")),
-            T.InterOp(T.SetOf(_v("visited'")), _suc("g2", _v("src")))),
-        _forall_mem("u", T.InterOp(T.SetOf(_v("visited")), _dom("acc'")),
-                    T.Implies(T.Not(_eq(_U, _v("src"))),
+        _eq(_suc("acc'", T.Var("src")),
+            T.InterOp(T.SetOf(T.Var("visited'")), _suc("g2", T.Var("src")))),
+        T.ForallMem("u", T.InterOp(T.SetOf(T.Var("visited")), _dom("acc'")),
+                    T.Implies(T.Not(_eq(_U, T.Var("src"))),
                               _eq(_suc("acc'", _U),
                                   T.InterOp(_suc("g1", _U), _suc("g2", _U))))),
-        _forall_mem("u", _UNVISITED("acc'"),
+        T.ForallMem("u", _UNVISITED("acc'"),
                     _eq(_suc("acc'", _U), T.EmptySetLit())),
     ),
 )
 
 # building an edgeless copy of the vertex set (used standalone by
 # copy_vertices and as the seeding pass of complement and mirror)
-VERTEX_COPY = _lam(
+VERTEX_COPY = T.lam(
     "visited acc",
     _and(
-        _eq(_dom("acc"), T.SetOf(_v("visited"))),
-        _forall_mem("u", _dom("acc"), _eq(_suc("acc", _U), T.EmptySetLit())),
+        _eq(_dom("acc"), T.SetOf(T.Var("visited"))),
+        T.ForallMem("u", _dom("acc"), _eq(_suc("acc", _U), T.EmptySetLit())),
     ),
 )
 
-COMPLEMENT_OUTER = _lam(
+COMPLEMENT_OUTER = T.lam(
     "g visited acc",
     _and(
         _eq(_dom("acc"), _dom("g")),
-        _forall_mem("u", _v("visited"),
+        T.ForallMem("u", T.Var("visited"),
                     _eq(_suc("acc", _U), T.DiffOp(_dom("g"), _suc("g", _U)))),
-        _forall_mem("u", _UNVISITED("g"),
+        T.ForallMem("u", _UNVISITED("g"),
                     _eq(_suc("acc", _U), T.EmptySetLit())),
     ),
 )
 
-COMPLEMENT_INNER = _lam(
+COMPLEMENT_INNER = T.lam(
     "g src visited' acc' visited acc",
     _and(
         _eq(_dom("acc'"), _dom("g")),
-        _eq(_suc("acc'", _v("src")),
-            T.DiffOp(T.SetOf(_v("visited'")), _suc("g", _v("src")))),
-        _forall_mem("u", _v("visited"),
-                    T.Implies(T.Not(_eq(_U, _v("src"))),
+        _eq(_suc("acc'", T.Var("src")),
+            T.DiffOp(T.SetOf(T.Var("visited'")), _suc("g", T.Var("src")))),
+        T.ForallMem("u", T.Var("visited"),
+                    T.Implies(T.Not(_eq(_U, T.Var("src"))),
                               _eq(_suc("acc'", _U),
                                   T.DiffOp(_dom("g"), _suc("g", _U))))),
-        _forall_mem("u", _UNVISITED("g"),
+        T.ForallMem("u", _UNVISITED("g"),
                     _eq(_suc("acc'", _U), T.EmptySetLit())),
     ),
 )
 
-MIRROR_OUTER = _lam(
+MIRROR_OUTER = T.lam(
     "g visited acc",
     _and(
         _eq(_dom("acc"), _dom("g")),
-        _forall_mem(
+        T.ForallMem(
             "u", _dom("g"),
-            _forall_mem(
+            T.ForallMem(
                 "w", _dom("g"),
                 _eq(T.Mem(_W, _suc("acc", _U)),
-                    T.And(T.Mem(_W, T.SetOf(_v("visited"))),
+                    T.And(T.Mem(_W, T.SetOf(T.Var("visited"))),
                           T.Mem(_U, _suc("g", _W)))))),
     ),
 )
 
-MIRROR_INNER = _lam(
+MIRROR_INNER = T.lam(
     "g src visited' acc' visited acc",
     _and(
         _eq(_dom("acc'"), _dom("g")),
-        _forall_mem(
+        T.ForallMem(
             "u", _dom("g"),
-            _forall_mem(
+            T.ForallMem(
                 "w", _dom("g"),
                 _eq(T.Mem(_W, _suc("acc'", _U)),
                     T.Or(
-                        _and(T.Mem(_W, T.SetOf(_v("visited"))),
-                             T.Not(_eq(_W, _v("src"))),
+                        _and(T.Mem(_W, T.SetOf(T.Var("visited"))),
+                             T.Not(_eq(_W, T.Var("src"))),
                              T.Mem(_U, _suc("g", _W))),
-                        T.And(_eq(_W, _v("src")),
-                              T.Mem(_U, T.SetOf(_v("visited'")))))))),
+                        T.And(_eq(_W, T.Var("src")),
+                              T.Mem(_U, T.SetOf(T.Var("visited'")))))))),
     ),
 )
 
 # flag mirrors whether the visited prefix is a valid path in g
-CHECK_PATH_INV = _lam(
+CHECK_PATH_INV = T.lam(
     "g flag visited",
-    _eq(_v("flag"),
+    _eq(T.Var("flag"),
         T.And(
-            T.ForallRange("i", T.IntLit(0), T.Len(_v("visited")),
-                          T.Mem(T.Index(_v("visited"), _v("i")), _dom("g"))),
+            T.ForallRange("i", T.IntLit(0), T.Len(T.Var("visited")),
+                          T.Mem(T.Index(T.Var("visited"), T.Var("i")), _dom("g"))),
             T.ForallRange(
-                "i", T.IntLit(1), T.Len(_v("visited")),
-                T.Mem(T.Index(_v("visited"), _v("i")),
-                      _suc("g", T.Index(_v("visited"),
-                                        T.Arith("-", _v("i"), T.IntLit(1)))))))),
+                "i", T.IntLit(1), T.Len(T.Var("visited")),
+                T.Mem(T.Index(T.Var("visited"), T.Var("i")),
+                      _suc("g", T.Index(T.Var("visited"),
+                                        T.Arith("-", T.Var("i"), T.IntLit(1)))))))),
 )
 
 #: named step predicates, exposed to scenario environments
@@ -393,6 +381,61 @@ def union_inner(g1: GraphModel, g2: GraphModel, src: Value) -> Closure:
     return apply_lambda(UNION_INNER, [g1, g2, src])
 
 
+# -- edge-completion steps -----------------------------------------------------
+# For each vertex v of the outer fold: add v, then complete its edges with a
+# nested checked fold under the operation's inner step predicate.
+
+Step = Callable[[GraphModel, Value], GraphModel]
+
+
+def union_step(g1: GraphModel, g2: GraphModel) -> Step:
+    def step(acc, v):
+        return fold_succ(lambda a, e: add_edge(a, v, e),
+                         add_vertex(acc, v), g1, v,
+                         inv=apply_lambda(UNION_INNER, [g1, g2, v]))
+    return step
+
+
+def intersect_step(g1: GraphModel, g2: GraphModel) -> Step:
+    def step(acc, v):
+        if v not in acc.dom:
+            return acc
+        return fold_succ(
+            lambda a, e: add_edge(a, v, e) if e in g2.suc(v) else a,
+            add_vertex(acc, v), g1, v,
+            inv=apply_lambda(INTERSECT_INNER, [g1, g2, v]))
+    return step
+
+
+def complement_step(g: GraphModel) -> Step:
+    def step(acc, v):
+        return fold_vertex(
+            lambda a, u: a if u in g.suc(v) else add_edge(a, v, u),
+            g, add_vertex(acc, v),
+            inv=apply_lambda(COMPLEMENT_INNER, [g, v]))
+    return step
+
+
+def mirror_step(g: GraphModel) -> Step:
+    def step(acc, v):
+        return fold_succ(lambda a, e: add_edge(a, e, v),
+                         add_vertex(acc, v), g, v,
+                         inv=apply_lambda(MIRROR_INNER, [g, v]))
+    return step
+
+
+def path_step(g: GraphModel, flag: CellRef) -> Callable[[Value], None]:
+    """Iteration step of check_path: ``flag`` stays true while the elements
+    seen so far are vertices and consecutive ones are edges."""
+    prev, started = CellRef(None), CellRef(False)
+
+    def step(x):
+        ok = x in g.dom and (not started.value or x in g.suc(prev.value))
+        flag.value = flag.value and ok
+        prev.value, started.value = x, True
+    return step
+
+
 # -- derived operations --------------------------------------------------------
 
 def union(g1: GraphModel, g2: GraphModel) -> GraphModel:
@@ -401,13 +444,7 @@ def union(g1: GraphModel, g2: GraphModel) -> GraphModel:
     base = fold_vertex(add_vertex, g1, copy(g2),
                        inv=apply_lambda(UNION_VERTICES, [g1, g2]),
                        ctx=EMPTY_CONTEXT)
-
-    def complete_edges(acc, v):
-        return fold_succ(lambda a, e: add_edge(a, v, e),
-                         add_vertex(acc, v), g1, v,
-                         inv=apply_lambda(UNION_INNER, [g1, g2, v]))
-
-    return fold_vertex(complete_edges, g1, base,
+    return fold_vertex(union_step(g1, g2), g1, base,
                        inv=apply_lambda(UNION_OUTER, [g1, g2]),
                        ctx=EMPTY_CONTEXT)
 
@@ -420,16 +457,7 @@ def intersect(g1: GraphModel, g2: GraphModel) -> GraphModel:
         g1, empty_graph(),
         inv=apply_lambda(INTERSECT_VERTICES, [g1, g2]),
         ctx=EMPTY_CONTEXT)
-
-    def complete_edges(acc, v):
-        if v not in acc.dom:
-            return acc
-        return fold_succ(
-            lambda a, e: add_edge(a, v, e) if e in g2.suc(v) else a,
-            add_vertex(acc, v), g1, v,
-            inv=apply_lambda(INTERSECT_INNER, [g1, g2, v]))
-
-    return fold_vertex(complete_edges, g1, base,
+    return fold_vertex(intersect_step(g1, g2), g1, base,
                        inv=apply_lambda(INTERSECT_OUTER, [g1, g2]),
                        ctx=EMPTY_CONTEXT)
 
@@ -444,29 +472,14 @@ def complement(g: GraphModel) -> GraphModel:
     """Graph on the same vertices whose successor sets are the set
     difference dom minus the original successors (plain difference, so a
     vertex without a self-loop gains one)."""
-    base = copy_vertices(g)
-
-    def complete_edges(acc, v):
-        return fold_vertex(
-            lambda a, u: a if u in g.suc(v) else add_edge(a, v, u),
-            g, add_vertex(acc, v),
-            inv=apply_lambda(COMPLEMENT_INNER, [g, v]))
-
-    return fold_vertex(complete_edges, g, base,
+    return fold_vertex(complement_step(g), g, copy_vertices(g),
                        inv=apply_lambda(COMPLEMENT_OUTER, [g]),
                        ctx=EMPTY_CONTEXT)
 
 
 def mirror(g: GraphModel) -> GraphModel:
     """Graph with every edge reversed."""
-    base = copy_vertices(g)
-
-    def complete_edges(acc, v):
-        return fold_succ(lambda a, e: add_edge(a, e, v),
-                         add_vertex(acc, v), g, v,
-                         inv=apply_lambda(MIRROR_INNER, [g, v]))
-
-    return fold_vertex(complete_edges, g, base,
+    return fold_vertex(mirror_step(g), g, copy_vertices(g),
                        inv=apply_lambda(MIRROR_OUTER, [g]),
                        ctx=EMPTY_CONTEXT)
 
@@ -478,19 +491,8 @@ def check_path(g: GraphModel, path: tuple) -> bool:
 
     path = tuple(path)
     flag = CellRef(True)
-    prev = CellRef(None)
-    started = CellRef(False)
-
-    def step(x):
-        ok = x in g.dom
-        if started.value:
-            ok = ok and x in g.suc(prev.value)
-        flag.value = flag.value and ok
-        prev.value = x
-        started.value = True
-
     checked_iter(
-        step, seq_cursor(path),
+        path_step(g, flag), seq_cursor(path),
         ClientContract(
             inv=apply_lambda(CHECK_PATH_INV, [g, flag]),
             convergence=lambda c, v: len(c) - len(v),

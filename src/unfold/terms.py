@@ -1,14 +1,20 @@
-"""First-order specification term language and its evaluator.
+"""First-order specification term language and its closure compiler.
 
 Permitted/complete predicates, client invariants and convergence measures
 are all written in this language (programmatically or through the surface
 syntax in :mod:`unfold.dsl`). Evaluation is total on well-typed input:
 quantifiers are bounded, integers are unbounded, and every error is an
 :class:`~unfold.errors.EvaluationError` rather than a silent approximation.
+
+Each node is compiled once, on first evaluation, into a nested Python closure
+from environments to values, which the node keeps: closure compilation, after
+Feeley and Lapalme, "Using closures for code generation" (1987).
 """
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -17,9 +23,9 @@ from .values import EMPTY_SET, FiniteSet, Value, deref, value_eq
 
 
 class Term:
-    """Base class for AST nodes."""
+    """Base class for AST nodes. ``_run`` holds the compiled form."""
 
-    __slots__ = ()
+    __slots__ = ("_run",)
 
 
 # -- parameter patterns for lambdas ------------------------------------------
@@ -316,7 +322,7 @@ def apply_lambda(f: Union[Closure, Lambda], args: list) -> Value:
     env = dict(f.env)
     for pat, value in zip(f.lam.params, supplied):
         _bind_pattern(env, pat, value)
-    return eval_term(f.lam.body, env)
+    return compile_term(f.lam.body)(env)
 
 
 def sum_range(f: Callable[[int], int], lo: int, hi: int) -> int:
@@ -363,185 +369,233 @@ def _as_set(v: Value, what: str) -> FiniteSet:
 
 def eval_term(t: Term, env: Env) -> Value:
     """Evaluate ``t`` under ``env``. Deterministic and terminating."""
+    return compile_term(t)(env)
+
+
+def compile_term(t: Term) -> Callable[[Env], Value]:
+    """The compiled form of ``t``, a function of the environment. It is built
+    on first use and kept in the node's ``_run`` slot, so it lives as long as
+    the node. Compiling never raises; errors are raised when the form runs."""
+    run = getattr(t, "_run", None)
+    if run is None:
+        run = _compile(t)
+        if isinstance(t, Term):
+            object.__setattr__(t, "_run", run)
+    return run
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _operator(table: dict, kind: str, op: str) -> Callable[[int, int], Value]:
+    """The operator named ``op``, or one that reports it as unknown."""
+    def unknown(a: int, b: int) -> Value:
+        raise EvaluationError(f"unknown {kind} operator '{op}'")
+    return table.get(op, unknown)
+
+
+def _set_op(method: Callable, what: str, left: Term, right: Term):
+    a_, b_ = compile_term(left), compile_term(right)
+    return lambda env: method(_as_set(a_(env), what), _as_set(b_(env), what))
+
+
+def _method(inner: Term, attr: str, message: Callable[[Value], str]):
+    """Call method ``attr`` of the value; ``message`` words its absence."""
+    a_ = compile_term(inner)
+
+    def run(env):
+        v = a_(env)
+        method = getattr(v, attr, None)
+        if method is None:
+            raise EvaluationError(message(v))
+        return method()
+    return run
+
+
+def _forall(env: Env, var: str, domain, body_: Callable[[Env], Value]) -> bool:
+    inner_env = dict(env)
+    for x in domain:
+        inner_env[var] = x
+        if not _as_bool(body_(inner_env), "quantifier body"):
+            return False
+    return True
+
+
+def _compile(t: Term) -> Callable[[Env], Value]:
+    """Dispatch on the node type, once per node; children compile too."""
     match t:
         case Var(name):
-            try:
-                return deref(env[name])
-            except KeyError:
-                raise EvaluationError(f"unbound variable '{name}'") from None
-        case IntLit(value):
-            return value
-        case BoolLit(value):
-            return value
+            def run(env):
+                try:
+                    return deref(env[name])
+                except KeyError:
+                    raise EvaluationError(f"unbound variable '{name}'") from None
+        case IntLit(value) | BoolLit(value) | ConstValue(value):
+            run = lambda env: value
         case UnitLit():
-            return None
-        case Arith(op, left, right):
-            a = _as_int(eval_term(left, env), f"'{op}'")
-            b = _as_int(eval_term(right, env), f"'{op}'")
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            raise EvaluationError(f"unknown arithmetic operator '{op}'")
-        case Cmp(op, left, right):
-            a = eval_term(left, env)
-            b = eval_term(right, env)
-            if op == "=":
-                return value_eq(a, b)
-            if op == "<>":
-                return not value_eq(a, b)
-            ia = _as_int(a, f"'{op}'")
-            ib = _as_int(b, f"'{op}'")
-            return {"<": ia < ib, "<=": ia <= ib,
-                    ">": ia > ib, ">=": ia >= ib}[op]
-        case And(left, right):
-            return (_as_bool(eval_term(left, env), "'/\\'")
-                    and _as_bool(eval_term(right, env), "'/\\'"))
-        case Or(left, right):
-            return (_as_bool(eval_term(left, env), "'\\/'")
-                    or _as_bool(eval_term(right, env), "'\\/'"))
-        case Not(inner):
-            return not _as_bool(eval_term(inner, env), "'not'")
-        case Implies(left, right):
-            if not _as_bool(eval_term(left, env), "'->'"):
-                return True
-            return _as_bool(eval_term(right, env), "'->'")
-        case Len(inner):
-            v = eval_term(inner, env)
-            if isinstance(v, (tuple, FiniteSet)):
-                return len(v)
-            raise EvaluationError(f"'len' expected a sequence or set, got {v!r}")
-        case Index(seq, index):
-            s = _as_seq(eval_term(seq, env), "indexing")
-            i = _as_int(eval_term(index, env), "index")
-            if not 0 <= i < len(s):
-                raise EvaluationError(
-                    f"index {i} out of range for sequence of length {len(s)}"
-                )
-            return s[i]
-        case Prefix(seq, upto):
-            s = _as_seq(eval_term(seq, env), "'prefix'")
-            k = _as_int(eval_term(upto, env), "'prefix' bound")
-            if k < 0:
-                raise EvaluationError(f"negative slice bound {k}")
-            if k > len(s):
-                raise EvaluationError(
-                    f"slice bound {k} out of range for sequence of length {len(s)}"
-                )
-            return s[:k]
-        case Reverse(inner):
-            return tuple(reversed(_as_seq(eval_term(inner, env), "'reverse'")))
-        case Distinct(inner):
-            s = _as_seq(eval_term(inner, env), "'distinct'")
-            return len(FiniteSet(s)) == len(s)
-        case TupleTerm(items):
-            return tuple(eval_term(item, env) for item in items)
-        case SeqLit(items):
-            return tuple(eval_term(item, env) for item in items)
-        case LetTuple(names, rhs, body):
-            v = eval_term(rhs, env)
-            inner_env = dict(env)
-            _bind_pattern(inner_env, TuplePat(names), v)
-            return eval_term(body, inner_env)
-        case SetOf(inner):
-            return FiniteSet(_as_seq(eval_term(inner, env), "'setof'"))
-        case Mem(elem, coll):
-            x = eval_term(elem, env)
-            c = eval_term(coll, env)
-            if isinstance(c, tuple):
-                return any(value_eq(x, e) for e in c)
-            if isinstance(c, FiniteSet):
-                return x in c
-            raise EvaluationError(f"'mem' expected a set or sequence, got {c!r}")
-        case Subset(left, right):
-            return _as_set(eval_term(left, env), "'subset'").subset(
-                _as_set(eval_term(right, env), "'subset'"))
-        case UnionOp(left, right):
-            return _as_set(eval_term(left, env), "'union'").union(
-                _as_set(eval_term(right, env), "'union'"))
-        case InterOp(left, right):
-            return _as_set(eval_term(left, env), "'inter'").inter(
-                _as_set(eval_term(right, env), "'inter'"))
-        case DiffOp(left, right):
-            return _as_set(eval_term(left, env), "'diff'").diff(
-                _as_set(eval_term(right, env), "'diff'"))
-        case AddElem(elem, coll):
-            return _as_set(eval_term(coll, env), "'add'").add(
-                eval_term(elem, env))
+            run = lambda env: None
         case EmptySetLit():
-            return EMPTY_SET
+            run = lambda env: EMPTY_SET
+        case Arith(op, left, right):
+            what, a_, b_ = f"'{op}'", compile_term(left), compile_term(right)
+            fn = _operator(_ARITH, "arithmetic", op)
+            run = lambda env: fn(_as_int(a_(env), what), _as_int(b_(env), what))
+        case Cmp("=", left, right):
+            a_, b_ = compile_term(left), compile_term(right)
+            run = lambda env: value_eq(a_(env), b_(env))
+        case Cmp("<>", left, right):
+            a_, b_ = compile_term(left), compile_term(right)
+            run = lambda env: not value_eq(a_(env), b_(env))
+        case Cmp(op, left, right):
+            what, a_, b_ = f"'{op}'", compile_term(left), compile_term(right)
+            fn = _operator(_ORDER, "comparison", op)
+            def run(env):
+                a, b = a_(env), b_(env)
+                return fn(_as_int(a, what), _as_int(b, what))
+        case And(left, right):
+            a_, b_ = compile_term(left), compile_term(right)
+            run = lambda env: (_as_bool(a_(env), "'/\\'")
+                               and _as_bool(b_(env), "'/\\'"))
+        case Or(left, right):
+            a_, b_ = compile_term(left), compile_term(right)
+            run = lambda env: (_as_bool(a_(env), "'\\/'")
+                               or _as_bool(b_(env), "'\\/'"))
+        case Not(inner):
+            a_ = compile_term(inner)
+            run = lambda env: not _as_bool(a_(env), "'not'")
+        case Implies(left, right):
+            a_, b_ = compile_term(left), compile_term(right)
+            run = lambda env: (not _as_bool(a_(env), "'->'")
+                               or _as_bool(b_(env), "'->'"))
+        case Len(inner):
+            a_ = compile_term(inner)
+            def run(env):
+                v = a_(env)
+                if isinstance(v, (tuple, FiniteSet)):
+                    return len(v)
+                raise EvaluationError(f"'len' expected a sequence or set, got {v!r}")
+        case Index(seq, index):
+            s_, i_ = compile_term(seq), compile_term(index)
+            def run(env):
+                s = _as_seq(s_(env), "indexing")
+                i = _as_int(i_(env), "index")
+                if not 0 <= i < len(s):
+                    raise EvaluationError(
+                        f"index {i} out of range for sequence of length {len(s)}"
+                    )
+                return s[i]
+        case Prefix(seq, upto):
+            s_, k_ = compile_term(seq), compile_term(upto)
+            def run(env):
+                s = _as_seq(s_(env), "'prefix'")
+                k = _as_int(k_(env), "'prefix' bound")
+                if k < 0:
+                    raise EvaluationError(f"negative slice bound {k}")
+                if k > len(s):
+                    raise EvaluationError(
+                        f"slice bound {k} out of range for sequence of length {len(s)}"
+                    )
+                return s[:k]
+        case Reverse(inner):
+            a_ = compile_term(inner)
+            run = lambda env: tuple(reversed(_as_seq(a_(env), "'reverse'")))
+        case Distinct(inner):
+            a_ = compile_term(inner)
+            def run(env):
+                s = _as_seq(a_(env), "'distinct'")
+                return len(FiniteSet(s)) == len(s)
+        case TupleTerm(items) | SeqLit(items):
+            items_ = tuple(compile_term(item) for item in items)
+            run = lambda env: tuple(item(env) for item in items_)
+        case LetTuple(names, rhs, body):
+            pat, rhs_, body_ = TuplePat(names), compile_term(rhs), compile_term(body)
+            def run(env):
+                v = rhs_(env)
+                inner_env = dict(env)
+                _bind_pattern(inner_env, pat, v)
+                return body_(inner_env)
+        case SetOf(inner):
+            a_ = compile_term(inner)
+            run = lambda env: FiniteSet(_as_seq(a_(env), "'setof'"))
+        case Mem(elem, coll):
+            x_, c_ = compile_term(elem), compile_term(coll)
+            def run(env):
+                x, c = x_(env), c_(env)
+                if isinstance(c, tuple):
+                    return any(value_eq(x, e) for e in c)
+                if isinstance(c, FiniteSet):
+                    return x in c
+                raise EvaluationError(f"'mem' expected a set or sequence, got {c!r}")
+        case Subset(left, right):
+            run = _set_op(FiniteSet.subset, "'subset'", left, right)
+        case UnionOp(left, right):
+            run = _set_op(FiniteSet.union, "'union'", left, right)
+        case InterOp(left, right):
+            run = _set_op(FiniteSet.inter, "'inter'", left, right)
+        case DiffOp(left, right):
+            run = _set_op(FiniteSet.diff, "'diff'", left, right)
+        case AddElem(elem, coll):
+            x_, c_ = compile_term(elem), compile_term(coll)
+            run = lambda env: _as_set(c_(env), "'add'").add(x_(env))
         case Field(inner, name):
-            v = eval_term(inner, env)
-            getter = getattr(v, f"field_{name}", None)
-            if getter is None:
-                raise EvaluationError(f"value {v!r} has no field '.{name}'")
-            return getter()
+            run = _method(inner, f"field_{name}",
+                          lambda v: f"value {v!r} has no field '.{name}'")
         case ForallRange(var, lo, hi, body):
-            lo_v = _as_int(eval_term(lo, env), "quantifier bound")
-            hi_v = _as_int(eval_term(hi, env), "quantifier bound")
-            inner_env = dict(env)
-            for i in range(lo_v, hi_v):
-                inner_env[var] = i
-                if not _as_bool(eval_term(body, inner_env), "quantifier body"):
-                    return False
-            return True
+            lo_, hi_, body_ = compile_term(lo), compile_term(hi), compile_term(body)
+            def run(env):
+                lo_v = _as_int(lo_(env), "quantifier bound")
+                hi_v = _as_int(hi_(env), "quantifier bound")
+                return _forall(env, var, range(lo_v, hi_v), body_)
         case ForallMem(var, coll, body):
-            c = eval_term(coll, env)
-            if not isinstance(c, (tuple, FiniteSet)):
-                raise EvaluationError(
-                    f"quantifier domain must be a set or sequence, got {c!r}"
-                )
-            inner_env = dict(env)
-            for e in c:
-                inner_env[var] = e
-                if not _as_bool(eval_term(body, inner_env), "quantifier body"):
-                    return False
-            return True
+            c_, body_ = compile_term(coll), compile_term(body)
+            def run(env):
+                c = c_(env)
+                if not isinstance(c, (tuple, FiniteSet)):
+                    raise EvaluationError(
+                        f"quantifier domain must be a set or sequence, got {c!r}"
+                    )
+                return _forall(env, var, c, body_)
         case Lambda():
-            return Closure(t, dict(env))
+            # weakly, since the node holds this form: no reference cycle
+            node = weakref.ref(t)
+            run = lambda env: Closure(node(), dict(env))
         case App(fn, args):
-            f = eval_term(fn, env)
-            vals = [eval_term(a, env) for a in args]
-            if isinstance(f, Closure):
-                return apply_lambda(f, vals)
-            if callable(f):
-                return f(*vals)
-            raise EvaluationError(f"cannot apply non-function value {f!r}")
+            f_, args_ = compile_term(fn), tuple(compile_term(a) for a in args)
+            def run(env):
+                f = f_(env)
+                vals = [a(env) for a in args_]
+                if isinstance(f, Closure):
+                    return apply_lambda(f, vals)
+                if callable(f):
+                    return f(*vals)
+                raise EvaluationError(f"cannot apply non-function value {f!r}")
         case SumTerm(fn, lo, hi):
-            f = eval_term(fn, env)
-            lo_v = _as_int(eval_term(lo, env), "'sum' bound")
-            hi_v = _as_int(eval_term(hi, env), "'sum' bound")
-            if isinstance(f, Closure):
-                body = lambda i: apply_lambda(f, [i])
-            elif callable(f):
-                body = f
-            else:
-                raise EvaluationError(f"'sum' expected a function, got {f!r}")
-            return sum_range(lambda i: _as_int(body(i), "'sum' body"), lo_v, hi_v)
+            f_, lo_, hi_ = compile_term(fn), compile_term(lo), compile_term(hi)
+            def run(env):
+                f = f_(env)
+                lo_v = _as_int(lo_(env), "'sum' bound")
+                hi_v = _as_int(hi_(env), "'sum' bound")
+                if isinstance(f, Closure):
+                    body = lambda i: apply_lambda(f, [i])
+                elif callable(f):
+                    body = f
+                else:
+                    raise EvaluationError(f"'sum' expected a function, got {f!r}")
+                return sum_range(lambda i: _as_int(body(i), "'sum' body"), lo_v, hi_v)
         case Flatten(inner):
-            v = eval_term(inner, env)
-            flat = getattr(v, "flatten", None)
-            if flat is None:
-                raise EvaluationError(f"'flatten' expected a tree, got {v!r}")
-            return flat()
+            run = _method(inner, "flatten",
+                          lambda v: f"'flatten' expected a tree, got {v!r}")
         case Levels(inner):
-            v = eval_term(inner, env)
-            levels = getattr(v, "levels", None)
-            if levels is None:
-                raise EvaluationError(f"'levels' expected a tree, got {v!r}")
-            return levels()
+            run = _method(inner, "levels",
+                          lambda v: f"'levels' expected a tree, got {v!r}")
         case CopyTerm(inner):
-            v = eval_term(inner, env)
-            copy = getattr(v, "copy", None)
-            if copy is None:
-                raise EvaluationError(f"'copy' expected a graph, got {v!r}")
-            return copy()
-        case ConstValue(value):
-            return value
+            run = _method(inner, "copy",
+                          lambda v: f"'copy' expected a graph, got {v!r}")
         case _:
-            raise EvaluationError(f"unknown term node {t!r}")
+            def run(env):
+                raise EvaluationError(f"unknown term node {t!r}")
+    return run
 
 
 def lam(params: str, body: Term, env: Env | None = None) -> Closure:

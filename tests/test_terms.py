@@ -86,6 +86,11 @@ class TestEval:
         with pytest.raises(EvaluationError, match="out of range"):
             eval_term(Index(V("v"), IntLit(5)), {"v": (1, 2)})
 
+    def test_unknown_comparison_operator(self):
+        with pytest.raises(EvaluationError,
+                           match="^unknown comparison operator '!='$"):
+            eval_term(Cmp("!=", IntLit(1), IntLit(2)), {})
+
     def test_negative_prefix_bound(self):
         with pytest.raises(EvaluationError, match="negative"):
             eval_term(Prefix(V("v"), IntLit(-1)), {"v": (1, 2)})
@@ -111,6 +116,10 @@ class TestEval:
 
     def test_implies_short_circuits(self):
         t = Implies(BoolLit(False), Cmp("<", IntLit(1), V("missing")))
+        assert eval_term(t, {}) is True
+        # unknown operators in the untaken branch raise nothing either
+        t = Implies(BoolLit(False),
+                    Cmp("!=", Arith("/", IntLit(1), IntLit(0)), IntLit(0)))
         assert eval_term(t, {}) is True
 
     def test_distinct(self):

@@ -2,9 +2,22 @@
 
 Sequences, finite sets, binary trees (element-by-element and level-by-level)
 each get a cursor whose permitted/complete predicates encode the canonical
-iteration contract for that structure. The native predicate closures used
-here are semantically identical to the term-language formulas the surface
-syntax uses; the test suite checks that equivalence.
+iteration contract for that structure. The native predicates used here are
+semantically identical to the term-language formulas the surface syntax
+uses; the test suite checks that equivalence.
+
+The two permitted predicates are small classes. Each evaluates in full when
+called on a visited sequence, and each also offers the step form that
+:class:`~unfold.cursor.Cursor` uses after every element, which checks only
+the new element against what the earlier steps established:
+
+- prefix of ``source`` (sequence, tree and level cursors): the element at
+  index ``k`` equals ``source[k]``, decided as tuple equality decides it;
+- distinct members of ``s`` (set cursor): the element is in ``s`` and its
+  value key is not among those of the elements before it. This form keeps
+  the keys seen so far, so each set cursor gets its own predicate.
+
+``complete`` predicates run once, at exhaustion, and stay in full form.
 """
 
 from __future__ import annotations
@@ -22,9 +35,18 @@ class BinaryTree:
     __slots__ = ()
 
     def flatten(self) -> tuple:
-        """All values, left-to-right (node value between its subtrees)."""
+        """All values, left-to-right (node value between its subtrees).
+        Iterative, so a deep spine does not exhaust the Python stack."""
         out: list = []
-        _flatten_into(self, out)
+        pending: list = []
+        node = self
+        while pending or not isinstance(node, Leaf):
+            while not isinstance(node, Leaf):
+                pending.append(node)
+                node = node.left
+            node = pending.pop()
+            out.append(node.value)
+            node = node.right
         return tuple(out)
 
     def levels(self) -> tuple:
@@ -40,9 +62,7 @@ class BinaryTree:
         return tuple(out)
 
     def size(self) -> int:
-        if isinstance(self, Leaf):
-            return 0
-        return 1 + self.left.size() + self.right.size()
+        return len(self.flatten())
 
     def height(self) -> int:
         """Number of levels; 0 for the empty tree."""
@@ -69,12 +89,48 @@ class Node(BinaryTree):
 LEAF = Leaf()
 
 
-def _flatten_into(t: BinaryTree, out: list) -> None:
-    if isinstance(t, Leaf):
-        return
-    _flatten_into(t.left, out)
-    out.append(t.value)
-    _flatten_into(t.right, out)
+class _PrefixOf:
+    """permitted for a prefix cursor: visited is a prefix of ``source``."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source: tuple):
+        self.source = source
+
+    def __call__(self, v: tuple) -> bool:
+        return v == self.source[:len(v)]
+
+    def step(self, k: int, x: Value) -> bool:
+        source = self.source
+        return k < len(source) and (x is source[k] or bool(x == source[k]))
+
+
+class _DistinctMembers:
+    """permitted for a set cursor: visited lists distinct members of ``s``.
+
+    The step form records the value key of every element it accepts; a
+    step at index 0 starts a fresh record. Serve one cursor at a time.
+    """
+
+    __slots__ = ("members", "_member_keys", "_seen")
+
+    def __init__(self, members: FiniteSet):
+        self.members = members
+        self._member_keys = frozenset(map(value_key, members))
+        self._seen: set = set()
+
+    def __call__(self, v: tuple) -> bool:
+        vs = FiniteSet(v)
+        return len(vs) == len(v) and vs.subset(self.members)
+
+    def step(self, k: int, x: Value) -> bool:
+        if k == 0:
+            self._seen = set()
+        key = value_key(x)
+        if key in self._seen or key not in self._member_keys:
+            return False
+        self._seen.add(key)
+        return True
 
 
 def _prefix_cursor(source: tuple) -> Cursor:
@@ -82,7 +138,7 @@ def _prefix_cursor(source: tuple) -> Cursor:
     length equality."""
     return create_cursor(
         iter(source),
-        permitted=lambda v: v == source[:len(v)],
+        permitted=_PrefixOf(source),
         complete=lambda v: len(v) == len(source),
     )
 
@@ -103,11 +159,7 @@ def set_cursor(s: FiniteSet, rng: Optional[random.Random] = None) -> Cursor:
     if rng is not None:
         rng.shuffle(elems)
 
-    def permitted(v: tuple) -> bool:
-        vs = FiniteSet(v)
-        return len(vs) == len(v) and vs.subset(s)
-
-    return create_cursor(iter(elems), permitted,
+    return create_cursor(iter(elems), _DistinctMembers(s),
                          complete=lambda v: FiniteSet(v) == s)
 
 
@@ -125,14 +177,16 @@ def level_cursor(t: BinaryTree) -> Cursor:
 
 def stack_of_seq(s: tuple) -> StackRef:
     """Push every element of ``s`` onto a fresh stack, checking at each step
-    that the reversed stack contents equal the visited prefix."""
+    that the pushed items, bottom first (the reversed contents), equal the
+    visited prefix."""
     s = tuple(s)
+    pushed = list(s)  # compared with the stack's push-order item list
     stack = StackRef()
     checked_iter(
         stack.push,
         seq_cursor(s),
         ClientContract(
-            inv=lambda v: tuple(reversed(stack.contents())) == s[:len(v)],
+            inv=lambda v: stack._items == pushed[:len(v)],
             convergence=lambda c, v: len(c) - len(v),
             collection=s,
         ),
@@ -144,12 +198,13 @@ def queue_of_seq(s: tuple) -> QueueRef:
     """Push every element of ``s`` onto a fresh queue; the queue contents
     must equal the visited prefix at each step."""
     s = tuple(s)
+    pushed = list(s)  # compared with the queue's push-order item list
     queue = QueueRef()
     checked_iter(
         queue.push,
         seq_cursor(s),
         ClientContract(
-            inv=lambda v: queue.contents() == s[:len(v)],
+            inv=lambda v: queue._items == pushed[:len(v)],
             convergence=lambda c, v: len(c) - len(v),
             collection=s,
         ),

@@ -20,13 +20,24 @@ SeqPredicate = Union[Closure, Callable[[tuple], bool]]
 _NO_LOOKAHEAD = object()
 
 
-def _eval_predicate(pred: SeqPredicate, visited: tuple, what: str) -> bool:
-    if isinstance(pred, Closure):
-        result = apply_lambda(pred, [visited])
-    else:
-        result = pred(visited)
+def _eval_predicate(pred: SeqPredicate, visited: tuple, what: str,
+                    stepwise: bool = False) -> bool:
+    """Evaluate ``pred`` on ``visited``; every permitted/complete check goes
+    through here. With ``stepwise``, ``pred`` is a step form (see
+    :class:`Cursor`) and only the last element of ``visited`` is passed."""
+    try:
+        if stepwise:
+            result = pred(len(visited) - 1, visited[-1])
+        elif isinstance(pred, Closure):
+            result = apply_lambda(pred, [visited])
+        else:
+            result = pred(visited)
+    except EvaluationError as exc:
+        raise EvaluationError(
+            f"{what} predicate at step {len(visited)}: {exc}") from exc
     if not isinstance(result, bool):
-        raise EvaluationError(f"{what} predicate returned non-boolean {result!r}")
+        raise EvaluationError(f"{what} predicate at step {len(visited)}: "
+                              f"returned non-boolean {result!r}")
     return result
 
 
@@ -36,6 +47,13 @@ class Cursor:
     Single-owner: not safe to share during iteration. ``has_next`` keeps a
     one-element lookahead so that exhaustion (and with it the ``complete``
     predicate) is decided at the has_next boundary.
+
+    ``visited`` is one immutable tuple, replaced by an extended tuple once
+    per step; every reader shares it. A ``permitted`` object that is not a
+    term-language closure may offer a step form ``permitted.step(k, x)``
+    with ``step(len(v), x) == permitted(v + (x,))`` whenever
+    ``permitted(v)`` holds. The cursor then evaluates ``permitted(())`` in
+    full at construction and only the step form after each element.
     """
 
     def __init__(self, producer: Iterator[Value],
@@ -43,7 +61,9 @@ class Cursor:
         self._producer = producer
         self.permitted = permitted
         self.complete = complete
-        self._visited: list = []
+        self._permitted_step = (None if isinstance(permitted, Closure)
+                                else getattr(permitted, "step", None))
+        self._visited: tuple = ()
         self._lookahead: Value = _NO_LOOKAHEAD
         self._exhausted = False
         self._complete_checked = False
@@ -54,8 +74,13 @@ class Cursor:
         return len(self._visited)
 
     def _check_permitted(self) -> None:
-        visited = tuple(self._visited)
-        if not _eval_predicate(self.permitted, visited, "permitted"):
+        visited = self._visited
+        if self._permitted_step is not None and visited:
+            ok = _eval_predicate(self._permitted_step, visited, "permitted",
+                                 stepwise=True)
+        else:
+            ok = _eval_predicate(self.permitted, visited, "permitted")
+        if not ok:
             raise ContractViolation(
                 ViolationKind.PERMITTED_VIOLATED, len(visited),
                 f"permitted rejected visited prefix {visited!r}",
@@ -64,7 +89,7 @@ class Cursor:
     def _check_complete(self) -> None:
         if self._complete_checked:
             return
-        visited = tuple(self._visited)
+        visited = self._visited
         if not _eval_predicate(self.complete, visited, "complete"):
             raise ContractViolation(
                 ViolationKind.COMPLETE_VIOLATED_AT_EXHAUSTION, len(visited),
@@ -91,21 +116,23 @@ class Cursor:
 
     def next(self) -> Value:
         """Produce the next element, growing ``visited`` by exactly one."""
-        if not self.has_next():
+        if self._lookahead is _NO_LOOKAHEAD and not self.has_next():
             raise ContractViolation(
                 ViolationKind.NEXT_ON_EXHAUSTED, len(self._visited),
-                f"next called on exhausted cursor with visited {self.visited!r}",
+                f"next called on exhausted cursor with visited {self._visited!r}",
             )
         x = self._lookahead
         self._lookahead = _NO_LOOKAHEAD
-        self._visited.append(x)
+        self._visited += (x,)
         self._check_permitted()
         return x
 
     @property
     def visited(self) -> tuple:
-        """Snapshot copy of the visited sequence."""
-        return tuple(self._visited)
+        """The visited sequence: a shared immutable snapshot, read in O(1).
+        ``next`` replaces it with a new tuple, so a value read earlier never
+        changes."""
+        return self._visited
 
 
 def create_cursor(producer: Union[Iterator[Value], Iterable[Value]],

@@ -154,6 +154,34 @@ class TestTreeStructure:
             assert concat == bfs_values(t)
 
 
+class TestDeepTrees:
+    """A 3000-deep spine is far beyond the default recursion limit; walking
+    it must not recurse."""
+
+    DEPTH = 3000
+
+    def spine(self, right: bool):
+        t = LEAF
+        for x in range(self.DEPTH, 0, -1):
+            t = Node(LEAF, x, t) if right else Node(t, self.DEPTH + 1 - x, LEAF)
+        return t
+
+    @pytest.mark.parametrize("right", [True, False])
+    def test_spine_size_and_flatten(self, right):
+        t = self.spine(right)
+        assert t.size() == self.DEPTH
+        assert t.flatten() == tuple(range(1, self.DEPTH + 1))
+
+    def test_tree_cursor_folds_a_right_spine(self):
+        t = self.spine(right=True)
+        total = checked_fold(
+            lambda a, x: a + x, 0, tree_cursor(t),
+            ClientContract(inv=lambda v, a: a == sum(v),
+                           convergence=lambda c, v: self.DEPTH - len(v),
+                           collection=t))
+        assert total == self.DEPTH * (self.DEPTH + 1) // 2
+
+
 class TestSinks:
     def test_stack_of_seq(self):
         assert stack_of_seq((1, 2, 3)).contents() == (3, 2, 1)

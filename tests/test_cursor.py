@@ -125,6 +125,84 @@ class TestBrokenPredicate:
             create_cursor(iter(()), lambda v: 1, lambda v: True)
 
 
+def _raise_evaluation_error(*_args):
+    raise EvaluationError("index 5 out of range")
+
+
+class _StepPredicate:
+    """Full form accepts everything; the step form is given per test."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def __call__(self, v):
+        return True
+
+
+class TestPredicateErrorsNameRoleAndStep:
+    """A broken permitted/complete predicate is reported with its role and
+    the step (the visited length) at which it was evaluated."""
+
+    def drain(self, cursor):
+        while cursor.has_next():
+            cursor.next()
+
+    def test_permitted_non_boolean(self):
+        c = create_cursor(iter((1, 2)), lambda v: len(v) if v else True,
+                          lambda v: True)
+        with pytest.raises(EvaluationError,
+                           match=r"^permitted predicate at step 1: "
+                                 r"returned non-boolean 1$"):
+            self.drain(c)
+
+    def test_permitted_evaluation_error(self):
+        with pytest.raises(EvaluationError,
+                           match=r"^permitted predicate at step 0: "
+                                 r"index 5 out of range$"):
+            create_cursor(iter(()), _raise_evaluation_error, lambda v: True)
+
+    def test_permitted_step_form_non_boolean(self):
+        c = create_cursor(iter((1, 2, 3)),
+                          _StepPredicate(lambda k, x: None if k == 2 else True),
+                          lambda v: True)
+        with pytest.raises(EvaluationError,
+                           match=r"^permitted predicate at step 3: "
+                                 r"returned non-boolean None$"):
+            self.drain(c)
+
+    def test_permitted_step_form_evaluation_error(self):
+        c = create_cursor(iter((1, 2)), _StepPredicate(_raise_evaluation_error),
+                          lambda v: True)
+        with pytest.raises(EvaluationError,
+                           match=r"^permitted predicate at step 1: "
+                                 r"index 5 out of range$"):
+            self.drain(c)
+
+    def test_complete_non_boolean(self):
+        c = create_cursor(iter((1, 2)), lambda v: True, lambda v: len(v))
+        with pytest.raises(EvaluationError,
+                           match=r"^complete predicate at step 2: "
+                                 r"returned non-boolean 2$"):
+            self.drain(c)
+
+    def test_complete_evaluation_error(self):
+        c = create_cursor(iter((1,)), lambda v: True, _raise_evaluation_error)
+        with pytest.raises(EvaluationError,
+                           match=r"^complete predicate at step 1: "
+                                 r"index 5 out of range$"):
+            self.drain(c)
+
+    def test_term_language_predicate_error(self):
+        from unfold.terms import Closure, Index, IntLit, Lambda, Var, VarPat
+
+        broken = Closure(Lambda((VarPat("v"),),
+                                Index(Var("v"), IntLit(5))), {})
+        with pytest.raises(EvaluationError,
+                           match=r"^permitted predicate at step 0: ") as exc:
+            create_cursor(iter(()), broken, lambda v: True)
+        assert isinstance(exc.value.__cause__, EvaluationError)
+
+
 class TestInterleavings:
     @staticmethod
     def drive_randomly(rng, cursor):

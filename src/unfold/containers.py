@@ -82,8 +82,49 @@ class Node(BinaryTree):
     right: BinaryTree
 
     def _value_key_(self) -> tuple:
-        return (4, (self.left._value_key_(), value_key(self.value),
-                    self.right._value_key_()))
+        """``(4, (left key, value key, right key))``, computed without
+        recursion, so a deep spine does not exhaust the Python stack."""
+        keys: list = []
+        pending: list = [self]
+        while pending:
+            item = pending.pop()
+            if item is _JOIN:
+                right, value, left = keys.pop(), keys.pop(), keys.pop()
+                keys.append((4, (left, value, right)))
+            elif isinstance(item, _KeyOf):
+                keys.append(value_key(item.value))
+            elif isinstance(item, Node):
+                pending += (_JOIN, item.right, _KeyOf(item.value), item.left)
+            else:
+                keys.append(item._value_key_())
+        return keys[0]
+
+    def __repr__(self) -> str:
+        """The dataclass repr, built without recursion."""
+        out: list = []
+        pending: list = [self]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Node):
+                pending += (")", item.right, f", value={item.value!r}, right=",
+                            item.left, f"{type(item).__qualname__}(left=")
+            else:
+                out.append(repr(item))
+        return "".join(out)
+
+
+class _KeyOf:
+    """A node value whose key a walk computes when it pops this."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        self.value = value
+
+
+_JOIN = object()  # a walk combines its last three keys into a node key
 
 
 LEAF = Leaf()

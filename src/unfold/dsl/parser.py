@@ -4,7 +4,7 @@ plus call-site annotations, possibly nested) and scenario files."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .. import terms as T
 from ..containers import LEAF, Node
@@ -15,6 +15,11 @@ from ..values import Value
 from .lexer import Token, strip_wrapper, tokenize
 
 PATTERNS = ("folds", "iters", "maps", "filters")
+
+#: deepest nesting of terms and types accepted. A deeper input is a
+#: ParseError; at this depth the recursive descent takes about half of
+#: Python's default stack (tree literals are parsed without recursion)
+MAX_NESTING = 40
 
 DECL_CLAUSES = ("permitted", "complete")
 CALL_CLAUSES = ("inv", "collection", "convergence")
@@ -125,6 +130,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- stream helpers --------------------------------------------------------
 
@@ -160,6 +166,15 @@ class _Parser:
             self.error(f"expected {what}, found {self.tok.text!r}")
         return self.advance().text
 
+    def nested(self, parse: Callable[[], object]):
+        """``parse()``, one level of nesting deeper."""
+        if self.depth == MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
+
     def expect_eof(self):
         if not self.at("EOF"):
             self.error(f"unexpected trailing input {self.tok.text!r}")
@@ -167,7 +182,7 @@ class _Parser:
     # -- terms ------------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        return self._parse_implies()
+        return self.nested(self._parse_implies)
 
     def _parse_forall(self) -> Term:
         self.eat("KW", "forall")
@@ -214,7 +229,7 @@ class _Parser:
         left = self._parse_or()
         if self.at_punct("->"):
             self.advance()
-            return T.Implies(left, self._parse_implies())
+            return T.Implies(left, self.nested(self._parse_implies))
         return left
 
     def _parse_or(self) -> Term:
@@ -240,7 +255,7 @@ class _Parser:
             return self._parse_let()
         if self.at_kw("not"):
             self.advance()
-            return T.Not(self._parse_not())
+            return T.Not(self.nested(self._parse_not))
         return self._parse_cmp()
 
     def _parse_cmp(self) -> Term:
@@ -412,10 +427,10 @@ class _Parser:
             return TName(name)
         if self.at_punct("("):
             self.advance()
-            parts = [self.parse_type()]
+            parts = [self.nested(self.parse_type)]
             while self.at_punct("*"):
                 self.advance()
-                parts.append(self.parse_type())
+                parts.append(self.nested(self.parse_type))
             self.eat("PUNCT", ")")
             return parts[0] if len(parts) == 1 else TTuple(tuple(parts))
         self.error(f"expected a type, found {self.tok.text!r}")
@@ -556,16 +571,24 @@ class _Parser:
         return self._parse_tree_expr()
 
     def _parse_tree_expr(self):
-        if self.at_kw("leaf"):
+        """``leaf`` or ``(node left value right)``. Iterative, so a deep
+        literal does not exhaust the Python stack."""
+        open_nodes: list = []  # per unclosed node: [] or [left, value]
+        while True:
+            if not self.at_kw("leaf"):
+                self.eat("PUNCT", "(")
+                self.eat("KW", "node")
+                open_nodes.append([])
+                continue
             self.advance()
-            return LEAF
-        self.eat("PUNCT", "(")
-        self.eat("KW", "node")
-        left = self._parse_tree_expr()
-        value = self._parse_int()
-        right = self._parse_tree_expr()
-        self.eat("PUNCT", ")")
-        return Node(left, value, right)
+            tree = LEAF
+            while open_nodes and open_nodes[-1]:
+                left, value = open_nodes.pop()
+                self.eat("PUNCT", ")")
+                tree = Node(left, value, tree)
+            if not open_nodes:
+                return tree
+            open_nodes[-1] += (tree, self._parse_int())
 
     # -- files -------------------------------------------------------------------
 

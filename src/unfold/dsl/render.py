@@ -94,7 +94,9 @@ def render_term(t: T.Term, level: int = _QUANT) -> str:
                     f"in {render_term(body)}")
             return _wrap(text, _QUANT, level)
         case T.ForallRange(var, lo, hi, body):
-            text = (f"forall {var}. {render_term(lo, _ADD)} <= {var} < "
+            # a bound starting with `mem` would read as the `mem var coll` form
+            lo_level = _ATOM if isinstance(lo, T.Mem) else _ADD
+            text = (f"forall {var}. {render_term(lo, lo_level)} <= {var} < "
                     f"{render_term(hi, _ADD)} -> {render_term(body)}")
             return _wrap(text, _QUANT, level)
         case T.ForallMem(var, coll, body):

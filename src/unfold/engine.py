@@ -164,23 +164,32 @@ class _Loop:
     def _check_inv(self, visited: tuple, acc: Value, kind: ViolationKind) -> None:
         own = (visited, acc) if self.has_acc else (visited,)
         args = list(own) + self.outer_args
-        result = _apply_spec(self.contract.inv, args, "invariant")
-        _AMBIENT.stats.record("inv", len(visited), self.contract.inv_label)
+        step = len(visited)
+        try:
+            result = _apply_spec(self.contract.inv, args, "invariant")
+        except EvaluationError as exc:
+            raise EvaluationError(f"invariant at step {step}: {exc}") from exc
+        _AMBIENT.stats.record("inv", step, self.contract.inv_label)
         if not isinstance(result, bool):
-            raise EvaluationError(f"invariant returned non-boolean {result!r}")
+            raise EvaluationError(
+                f"invariant at step {step}: returned non-boolean {result!r}")
         if not result:
             raise ContractViolation(
-                kind, len(visited),
+                kind, step,
                 f"invariant failed on visited={visited!r}, acc={acc!r}",
             )
 
     def _measure(self, visited: tuple) -> int:
-        m = _apply_spec(self.contract.convergence,
-                        [self.contract.collection, visited], "convergence")
-        _AMBIENT.stats.record("variant",
-                              len(visited), self.contract.convergence_label)
+        step = len(visited)
+        try:
+            m = _apply_spec(self.contract.convergence,
+                            [self.contract.collection, visited], "convergence")
+        except EvaluationError as exc:
+            raise EvaluationError(f"convergence at step {step}: {exc}") from exc
+        _AMBIENT.stats.record("variant", step, self.contract.convergence_label)
         if isinstance(m, bool) or not isinstance(m, int):
-            raise EvaluationError(f"convergence returned non-integer {m!r}")
+            raise EvaluationError(
+                f"convergence at step {step}: returned non-integer {m!r}")
         return m
 
     def run(self, step_fn: Callable, init: Value) -> Value:

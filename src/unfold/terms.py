@@ -1,4 +1,4 @@
-"""First-order specification term language and its closure compiler.
+r"""First-order specification term language and its closure compiler.
 
 Permitted/complete predicates, client invariants and convergence measures
 are all written in this language (programmatically or through the surface
@@ -9,13 +9,31 @@ quantifiers are bounded, integers are unbounded, and every error is an
 Each node is compiled once, on first evaluation, into a nested Python closure
 from environments to values, which the node keeps: closure compilation, after
 Feeley and Lapalme, "Using closures for code generation" (1987).
+
+Quantifier bodies are compiled with their loop-invariant subterms hoisted.
+A subterm of a ``forall`` body that reads neither the quantified variable nor
+any name bound between the quantifier and the subterm (an inner ``forall``
+or ``let``) gets a slot in the quantifier's memo, which is fresh at every
+entry into the quantifier; a subterm invariant in nested quantifiers gets
+its slot in the outermost one it can. The slot is filled the first time the
+body demands it. Hoisting is lazy because eager evaluation at entry would
+change behaviour and waste work: a subterm behind a short-circuiting
+``/\``, ``\/`` or ``->``, or in the body of an empty domain, must not run
+(it may raise), and a body that fails at its first binding should not pay
+for the others. So every subterm runs at most once per entry where it used
+to run once per binding, and the first error is raised at the same point
+with the same message. Cheap leaves and lambdas are never hoisted, nothing
+is hoisted into or out of a lambda body, and equal subterms at different
+places keep separate slots, so no value is shared that plain evaluation
+would have built twice.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from functools import partial
 from typing import Callable, Mapping, Union
 
 from .errors import EvaluationError
@@ -23,9 +41,10 @@ from .values import EMPTY_SET, FiniteSet, Value, deref, value_eq
 
 
 class Term:
-    """Base class for AST nodes. ``_run`` holds the compiled form."""
+    """Base class for AST nodes. ``_run`` holds the compiled form, ``_fv``
+    the free variables (see :func:`free_vars`)."""
 
-    __slots__ = ("_run",)
+    __slots__ = ("_run", "_fv")
 
 
 # -- parameter patterns for lambdas ------------------------------------------
@@ -378,11 +397,127 @@ def compile_term(t: Term) -> Callable[[Env], Value]:
     the node. Compiling never raises; errors are raised when the form runs."""
     run = getattr(t, "_run", None)
     if run is None:
-        run = _compile(t)
+        run = _compile(t, ())
         if isinstance(t, Term):
             object.__setattr__(t, "_run", run)
     return run
 
+
+# -- free variables and hoisting ----------------------------------------------
+
+_NO_NAMES: frozenset = frozenset()
+
+
+def _pattern_names(params: tuple) -> set:
+    return {name for pat in params
+            for name in ((pat.name,) if isinstance(pat, VarPat) else pat.names)}
+
+
+def _children(t: Term):
+    for f in fields(t) if is_dataclass(t) else ():
+        v = getattr(t, f.name)
+        if isinstance(v, Term):
+            yield v
+        elif isinstance(v, tuple):
+            yield from (item for item in v if isinstance(item, Term))
+
+
+def free_vars(t: Term) -> frozenset:
+    """Names that ``t`` reads from its environment. Computed once per node,
+    from its children's, and kept in the node's ``_fv`` slot."""
+    fv = getattr(t, "_fv", None)
+    if fv is None:
+        match t:
+            case Var(name):
+                fv = frozenset((name,))
+            case IntLit() | BoolLit() | UnitLit() | EmptySetLit() | ConstValue():
+                fv = _NO_NAMES
+            case LetTuple(names, rhs, body):
+                fv = free_vars(rhs) | (free_vars(body) - set(names))
+            case ForallRange(var, lo, hi, body):
+                fv = free_vars(lo) | free_vars(hi) | (free_vars(body) - {var})
+            case ForallMem(var, coll, body):
+                fv = free_vars(coll) | (free_vars(body) - {var})
+            case Lambda(params, body):
+                fv = free_vars(body) - _pattern_names(params)
+            case _:
+                fv = _NO_NAMES.union(*map(free_vars, _children(t)))
+        object.__setattr__(t, "_fv", fv)
+    return fv
+
+
+_UNSET = object()
+
+
+class _Memo:
+    """Compile-time record of one quantifier body's memo slots. At run time
+    the memo is a list, fresh at every entry into the quantifier, kept in the
+    body's environment under this object as key."""
+
+    __slots__ = ("size",)
+
+    def __init__(self):
+        self.size = 0
+
+    def slot(self, run: Callable[[Env], Value]) -> Callable[[Env], Value]:
+        """``run``, evaluated at most once per memo: when first demanded."""
+        i = self.size
+        self.size += 1
+
+        def memoised(env):
+            memo = env[self]
+            v = memo[i]
+            if v is _UNSET:
+                v = memo[i] = run(env)
+            return v
+        return memoised
+
+
+# Compiling inside quantifier bodies: ``scopes`` lists, outermost first, each
+# enclosing quantifier's memo with the names bound since its entry (its own
+# variable and every inner forall or let variable on the way down).
+Scopes = tuple[tuple[_Memo, frozenset], ...]
+
+# cheaper to re-run than to look up; lambda bodies are compiled on their own
+_NEVER_HOISTED = (Var, IntLit, BoolLit, UnitLit, ConstValue, EmptySetLit, Lambda)
+
+
+def _bind(scopes: Scopes, names) -> Scopes:
+    return tuple((memo, bound.union(names)) for memo, bound in scopes)
+
+
+def _compile_in(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
+    """The compiled form of ``t`` at its place under ``scopes``. A subterm
+    that reads no name bound in a scope is a slot of the outermost such
+    scope's memo; its own subterms can only hoist further out."""
+    if not scopes or not isinstance(t, Term) or isinstance(t, _NEVER_HOISTED):
+        return compile_term(t)
+    names = free_vars(t)
+    for k, (memo, bound) in enumerate(scopes):
+        if names.isdisjoint(bound):
+            return memo.slot(_compile(t, scopes[:k]) if k else compile_term(t))
+    return _compile(t, scopes)
+
+
+def _quantifier(var: str, body: Term, scopes: Scopes):
+    """``(env, domain) -> bool`` deciding ``forall var in domain. body``."""
+    memo = _Memo()
+    body_ = _compile_in(body, _bind(scopes, (var,)) + ((memo, frozenset((var,))),))
+    size = memo.size
+
+    def forall(env, domain):
+        inner_env = dict(env)
+        if size:
+            inner_env[memo] = [_UNSET] * size
+        for x in domain:
+            inner_env[var] = x
+            if not _as_bool(body_(inner_env), "quantifier body"):
+                return False
+        return True
+    return forall
+
+
+# -- the compiler ---------------------------------------------------------------
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -395,15 +530,12 @@ def _operator(table: dict, kind: str, op: str) -> Callable[[int, int], Value]:
     return table.get(op, unknown)
 
 
-def _set_op(method: Callable, what: str, left: Term, right: Term):
-    a_, b_ = compile_term(left), compile_term(right)
+def _set_op(method: Callable, what: str, a_, b_):
     return lambda env: method(_as_set(a_(env), what), _as_set(b_(env), what))
 
 
-def _method(inner: Term, attr: str, message: Callable[[Value], str]):
+def _method(a_, attr: str, message: Callable[[Value], str]):
     """Call method ``attr`` of the value; ``message`` words its absence."""
-    a_ = compile_term(inner)
-
     def run(env):
         v = a_(env)
         method = getattr(v, attr, None)
@@ -413,17 +545,10 @@ def _method(inner: Term, attr: str, message: Callable[[Value], str]):
     return run
 
 
-def _forall(env: Env, var: str, domain, body_: Callable[[Env], Value]) -> bool:
-    inner_env = dict(env)
-    for x in domain:
-        inner_env[var] = x
-        if not _as_bool(body_(inner_env), "quantifier body"):
-            return False
-    return True
-
-
-def _compile(t: Term) -> Callable[[Env], Value]:
-    """Dispatch on the node type, once per node; children compile too."""
+def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
+    """Dispatch on the node type, once per node; children compile too, each
+    at its place under ``scopes``."""
+    sub = partial(_compile_in, scopes=scopes) if scopes else compile_term
     match t:
         case Var(name):
             def run(env):
@@ -438,45 +563,45 @@ def _compile(t: Term) -> Callable[[Env], Value]:
         case EmptySetLit():
             run = lambda env: EMPTY_SET
         case Arith(op, left, right):
-            what, a_, b_ = f"'{op}'", compile_term(left), compile_term(right)
+            what, a_, b_ = f"'{op}'", sub(left), sub(right)
             fn = _operator(_ARITH, "arithmetic", op)
             run = lambda env: fn(_as_int(a_(env), what), _as_int(b_(env), what))
         case Cmp("=", left, right):
-            a_, b_ = compile_term(left), compile_term(right)
+            a_, b_ = sub(left), sub(right)
             run = lambda env: value_eq(a_(env), b_(env))
         case Cmp("<>", left, right):
-            a_, b_ = compile_term(left), compile_term(right)
+            a_, b_ = sub(left), sub(right)
             run = lambda env: not value_eq(a_(env), b_(env))
         case Cmp(op, left, right):
-            what, a_, b_ = f"'{op}'", compile_term(left), compile_term(right)
+            what, a_, b_ = f"'{op}'", sub(left), sub(right)
             fn = _operator(_ORDER, "comparison", op)
             def run(env):
                 a, b = a_(env), b_(env)
                 return fn(_as_int(a, what), _as_int(b, what))
         case And(left, right):
-            a_, b_ = compile_term(left), compile_term(right)
+            a_, b_ = sub(left), sub(right)
             run = lambda env: (_as_bool(a_(env), "'/\\'")
                                and _as_bool(b_(env), "'/\\'"))
         case Or(left, right):
-            a_, b_ = compile_term(left), compile_term(right)
+            a_, b_ = sub(left), sub(right)
             run = lambda env: (_as_bool(a_(env), "'\\/'")
                                or _as_bool(b_(env), "'\\/'"))
         case Not(inner):
-            a_ = compile_term(inner)
+            a_ = sub(inner)
             run = lambda env: not _as_bool(a_(env), "'not'")
         case Implies(left, right):
-            a_, b_ = compile_term(left), compile_term(right)
+            a_, b_ = sub(left), sub(right)
             run = lambda env: (not _as_bool(a_(env), "'->'")
                                or _as_bool(b_(env), "'->'"))
         case Len(inner):
-            a_ = compile_term(inner)
+            a_ = sub(inner)
             def run(env):
                 v = a_(env)
                 if isinstance(v, (tuple, FiniteSet)):
                     return len(v)
                 raise EvaluationError(f"'len' expected a sequence or set, got {v!r}")
         case Index(seq, index):
-            s_, i_ = compile_term(seq), compile_term(index)
+            s_, i_ = sub(seq), sub(index)
             def run(env):
                 s = _as_seq(s_(env), "indexing")
                 i = _as_int(i_(env), "index")
@@ -486,7 +611,7 @@ def _compile(t: Term) -> Callable[[Env], Value]:
                     )
                 return s[i]
         case Prefix(seq, upto):
-            s_, k_ = compile_term(seq), compile_term(upto)
+            s_, k_ = sub(seq), sub(upto)
             def run(env):
                 s = _as_seq(s_(env), "'prefix'")
                 k = _as_int(k_(env), "'prefix' bound")
@@ -498,28 +623,29 @@ def _compile(t: Term) -> Callable[[Env], Value]:
                     )
                 return s[:k]
         case Reverse(inner):
-            a_ = compile_term(inner)
+            a_ = sub(inner)
             run = lambda env: tuple(reversed(_as_seq(a_(env), "'reverse'")))
         case Distinct(inner):
-            a_ = compile_term(inner)
+            a_ = sub(inner)
             def run(env):
                 s = _as_seq(a_(env), "'distinct'")
                 return len(FiniteSet(s)) == len(s)
         case TupleTerm(items) | SeqLit(items):
-            items_ = tuple(compile_term(item) for item in items)
+            items_ = tuple(map(sub, items))
             run = lambda env: tuple(item(env) for item in items_)
         case LetTuple(names, rhs, body):
-            pat, rhs_, body_ = TuplePat(names), compile_term(rhs), compile_term(body)
+            pat, rhs_ = TuplePat(names), sub(rhs)
+            body_ = _compile_in(body, _bind(scopes, names))
             def run(env):
                 v = rhs_(env)
                 inner_env = dict(env)
                 _bind_pattern(inner_env, pat, v)
                 return body_(inner_env)
         case SetOf(inner):
-            a_ = compile_term(inner)
+            a_ = sub(inner)
             run = lambda env: FiniteSet(_as_seq(a_(env), "'setof'"))
         case Mem(elem, coll):
-            x_, c_ = compile_term(elem), compile_term(coll)
+            x_, c_ = sub(elem), sub(coll)
             def run(env):
                 x, c = x_(env), c_(env)
                 if isinstance(c, tuple):
@@ -528,40 +654,40 @@ def _compile(t: Term) -> Callable[[Env], Value]:
                     return x in c
                 raise EvaluationError(f"'mem' expected a set or sequence, got {c!r}")
         case Subset(left, right):
-            run = _set_op(FiniteSet.subset, "'subset'", left, right)
+            run = _set_op(FiniteSet.subset, "'subset'", sub(left), sub(right))
         case UnionOp(left, right):
-            run = _set_op(FiniteSet.union, "'union'", left, right)
+            run = _set_op(FiniteSet.union, "'union'", sub(left), sub(right))
         case InterOp(left, right):
-            run = _set_op(FiniteSet.inter, "'inter'", left, right)
+            run = _set_op(FiniteSet.inter, "'inter'", sub(left), sub(right))
         case DiffOp(left, right):
-            run = _set_op(FiniteSet.diff, "'diff'", left, right)
+            run = _set_op(FiniteSet.diff, "'diff'", sub(left), sub(right))
         case AddElem(elem, coll):
-            x_, c_ = compile_term(elem), compile_term(coll)
+            x_, c_ = sub(elem), sub(coll)
             run = lambda env: _as_set(c_(env), "'add'").add(x_(env))
         case Field(inner, name):
-            run = _method(inner, f"field_{name}",
+            run = _method(sub(inner), f"field_{name}",
                           lambda v: f"value {v!r} has no field '.{name}'")
         case ForallRange(var, lo, hi, body):
-            lo_, hi_, body_ = compile_term(lo), compile_term(hi), compile_term(body)
+            lo_, hi_, forall = sub(lo), sub(hi), _quantifier(var, body, scopes)
             def run(env):
                 lo_v = _as_int(lo_(env), "quantifier bound")
                 hi_v = _as_int(hi_(env), "quantifier bound")
-                return _forall(env, var, range(lo_v, hi_v), body_)
+                return forall(env, range(lo_v, hi_v))
         case ForallMem(var, coll, body):
-            c_, body_ = compile_term(coll), compile_term(body)
+            c_, forall = sub(coll), _quantifier(var, body, scopes)
             def run(env):
                 c = c_(env)
                 if not isinstance(c, (tuple, FiniteSet)):
                     raise EvaluationError(
                         f"quantifier domain must be a set or sequence, got {c!r}"
                     )
-                return _forall(env, var, c, body_)
+                return forall(env, c)
         case Lambda():
             # weakly, since the node holds this form: no reference cycle
             node = weakref.ref(t)
             run = lambda env: Closure(node(), dict(env))
         case App(fn, args):
-            f_, args_ = compile_term(fn), tuple(compile_term(a) for a in args)
+            f_, args_ = sub(fn), tuple(map(sub, args))
             def run(env):
                 f = f_(env)
                 vals = [a(env) for a in args_]
@@ -571,7 +697,7 @@ def _compile(t: Term) -> Callable[[Env], Value]:
                     return f(*vals)
                 raise EvaluationError(f"cannot apply non-function value {f!r}")
         case SumTerm(fn, lo, hi):
-            f_, lo_, hi_ = compile_term(fn), compile_term(lo), compile_term(hi)
+            f_, lo_, hi_ = sub(fn), sub(lo), sub(hi)
             def run(env):
                 f = f_(env)
                 lo_v = _as_int(lo_(env), "'sum' bound")
@@ -584,13 +710,13 @@ def _compile(t: Term) -> Callable[[Env], Value]:
                     raise EvaluationError(f"'sum' expected a function, got {f!r}")
                 return sum_range(lambda i: _as_int(body(i), "'sum' body"), lo_v, hi_v)
         case Flatten(inner):
-            run = _method(inner, "flatten",
+            run = _method(sub(inner), "flatten",
                           lambda v: f"'flatten' expected a tree, got {v!r}")
         case Levels(inner):
-            run = _method(inner, "levels",
+            run = _method(sub(inner), "levels",
                           lambda v: f"'levels' expected a tree, got {v!r}")
         case CopyTerm(inner):
-            run = _method(inner, "copy",
+            run = _method(sub(inner), "copy",
                           lambda v: f"'copy' expected a graph, got {v!r}")
         case _:
             def run(env):

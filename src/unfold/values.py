@@ -17,6 +17,8 @@ Value = Any
 
 def value_key(v: Value) -> tuple:
     """Total structural order key. Equal keys define value equality."""
+    if type(v) is int:
+        return (0, v)
     if isinstance(v, (bool, int)):
         return (0, int(v))
     if v is None:
@@ -98,7 +100,11 @@ class FiniteSet:
 EMPTY_SET = FiniteSet()
 
 
-class StackRef:
+class _Ref:
+    """Base of the mutable reference cells below."""
+
+
+class StackRef(_Ref):
     """Mutable LIFO sink. Logical contents are viewed top-first."""
 
     def __init__(self):
@@ -114,7 +120,7 @@ class StackRef:
         return f"StackRef{self.contents()!r}"
 
 
-class QueueRef:
+class QueueRef(_Ref):
     """Mutable FIFO sink. Logical contents are viewed front-first."""
 
     def __init__(self):
@@ -130,7 +136,7 @@ class QueueRef:
         return f"QueueRef{self.contents()!r}"
 
 
-class CellRef:
+class CellRef(_Ref):
     """Mutable single-value cell (counters, flags, previous-element holders)."""
 
     def __init__(self, value: Value = None):
@@ -142,6 +148,8 @@ class CellRef:
 
 def deref(v: Value) -> Value:
     """Logical view of a value: mutable references read as their contents."""
+    if not isinstance(v, _Ref):
+        return v
     if isinstance(v, (StackRef, QueueRef)):
         return v.contents()
     if isinstance(v, CellRef):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PASSING_SCENARIO = r"""
 collection s = [1, 2, 3]
@@ -30,8 +32,11 @@ call sum_seq uses fold_seq {
 
 
 def unfold(*args):
+    """Run the CLI in a subprocess that imports this checkout's ``src/``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "unfold.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture
@@ -62,6 +67,16 @@ class TestCheck:
         proc = unfold("check", str(path))
         assert proc.returncode == 2
         assert proc.stderr.strip()
+
+    def test_deep_nesting_exits_two_without_traceback(self, tmp_path):
+        path = tmp_path / "deep.scn"
+        deep = "(" * 2000 + "6" + ")" * 2000
+        path.write_text(PASSING_SCENARIO.replace("expect = 6", f"expect = {deep}"),
+                        encoding="utf-8")
+        proc = unfold("check", str(path))
+        assert proc.returncode == 2
+        assert "nesting deeper than" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_exits_two(self):
         proc = unfold("check", "no-suchimagined-file.scn")

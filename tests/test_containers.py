@@ -18,6 +18,7 @@ from unfold import (
     stack_of_seq,
     tree_cursor,
 )
+from unfold.values import value_key
 
 from helpers import bfs_values, random_seq, random_tree, tree_height
 
@@ -180,6 +181,38 @@ class TestDeepTrees:
                            convergence=lambda c, v: self.DEPTH - len(v),
                            collection=t))
         assert total == self.DEPTH * (self.DEPTH + 1) // 2
+
+    @pytest.mark.parametrize("right", [True, False])
+    def test_spine_value_key_set_and_repr(self, right):
+        t = self.spine(right)
+        key, values = value_key(t), []
+        while key != (4, ()):  # unwrap without comparing nested keys whole
+            tag, (left, value, right_key) = key
+            assert tag == 4 and (left if right else right_key) == (4, ())
+            values.append(value)
+            key = right_key if right else left
+        assert values == [(0, x) for x in (range(1, self.DEPTH + 1) if right
+                                           else range(self.DEPTH, 0, -1))]
+        s = FiniteSet([t])
+        assert len(s) == 1 and next(iter(s)) is t
+        if right:
+            want = "".join(f"Node(left=Leaf(), value={x}, right="
+                           for x in range(1, self.DEPTH + 1))
+            want += "Leaf()" + ")" * self.DEPTH
+        else:
+            want = "Node(left=" * self.DEPTH + "Leaf()" + "".join(
+                f", value={x}, right=Leaf())" for x in range(1, self.DEPTH + 1))
+        assert repr(t) == want
+
+    def test_repr_and_key_match_the_dataclass_forms(self):
+        t = Node(Node(LEAF, 1, Node(LEAF, (2, 3), LEAF)), 4, Node(LEAF, 5, LEAF))
+        assert repr(t) == ("Node(left=Node(left=Leaf(), value=1, right=Node("
+                           "left=Leaf(), value=(2, 3), right=Leaf())), value=4, "
+                           "right=Node(left=Leaf(), value=5, right=Leaf()))")
+        leaf = (4, ())
+        assert value_key(t) == (4, ((4, (leaf, (0, 1), (4, (leaf, value_key((2, 3)),
+                                                             leaf)))),
+                                    (0, 4), (4, (leaf, (0, 5), leaf))))
 
 
 class TestSinks:

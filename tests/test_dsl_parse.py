@@ -12,7 +12,7 @@ from unfold.dsl import (
     render_decl,
     render_term,
 )
-from unfold.dsl.parser import TApp, TName, TTuple, TVar
+from unfold.dsl.parser import MAX_NESTING, TApp, TName, TTuple, TVar
 from unfold.dsl.render import render_type
 from unfold import terms as T
 from unfold.demo import DEMOS
@@ -172,6 +172,36 @@ class TestParseFiles:
             """)
 
 
+class TestNestingLimit:
+    def test_deep_parentheses_are_a_parse_error_at_the_deep_token(self):
+        with pytest.raises(ParseError) as exc:
+            parse_term_text("\n  " + "(" * 2000 + "1" + ")" * 2000)
+        assert (exc.value.line, exc.value.column) == (2, 3 + MAX_NESTING)
+        assert "nesting deeper than" in str(exc.value)
+
+    @pytest.mark.parametrize("text", ["not " * 2000 + "true",
+                                      "true -> " * 2000 + "true",
+                                      "[" * 2000 + "1" + "]" * 2000,
+                                      "(fun x -> " * 2000 + "x" + ")" * 2000],
+                             ids=["not", "implies", "brackets", "lambdas"])
+    def test_deep_terms_are_parse_errors(self, text):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_term_text(text)
+
+    def test_nesting_up_to_the_limit_parses_and_evaluates(self):
+        depth = MAX_NESTING - 1
+        t = parse_term_text("(" * depth + "1" + ")" * depth)
+        assert T.eval_term(t, {}) == 1
+        t = parse_term_text("not " * depth + "true")
+        assert T.eval_term(t, {}) is (depth % 2 == 0)
+
+    def test_deep_tree_literal_parses_without_recursion(self):
+        depth = 3000
+        s = parse_scenario("collection t = tree " + "(node leaf 1 " * depth
+                           + "leaf" + ")" * depth + "\n")
+        assert s.collections["t"].size() == depth
+
+
 class TestRoundTrip:
     def test_decl_round_trips(self):
         for text in (FOLD_DECL, ITER_DECL):
@@ -271,6 +301,11 @@ class TestTermRoundTrip:
     def test_parse_render_is_identity(self, term):
         rendered = render_term(term)
         assert parse_term_text(rendered) == term
+
+    def test_range_quantifier_with_mem_lower_bound(self):
+        term = T.ForallRange("q", T.Mem(T.BoolLit(False), T.UnitLit()),
+                             T.IntLit(1), T.BoolLit(True))
+        assert parse_term_text(render_term(term)) == term
 
     def test_deep_application_chain(self):
         term = T.App(T.App(T.Var("f"), (T.Var("x"),)), (T.Var("y"),))

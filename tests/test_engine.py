@@ -364,6 +364,47 @@ class TestNestedPropagation:
                                         collection=(1, 2)))
 
 
+class TestSpecErrorsNameRoleAndStep:
+    """An evaluation error in the client invariant or the convergence
+    measure, or a result of the wrong type, names its role and step."""
+
+    def test_invariant_error_names_step(self):
+        inv = lam("v a", Cmp("=", Index(Var("v"), IntLit(5)), Var("a")))
+        with pytest.raises(EvaluationError) as exc:
+            checked_fold(lambda a, x: a, 0, seq_cursor((1, 2)),
+                         ClientContract(inv=inv,
+                                        convergence=lambda c, v: len(c) - len(v),
+                                        collection=(1, 2)))
+        assert str(exc.value) == ("invariant at step 0: index 5 out of range "
+                                  "for sequence of length 0")
+        assert str(exc.value.__cause__) == (
+            "index 5 out of range for sequence of length 0")
+
+    def test_convergence_error_names_step(self):
+        measure = lam("c v", Arith("-", Index(Var("c"), Len(Var("v"))), IntLit(1)))
+        with pytest.raises(EvaluationError) as exc:
+            checked_fold(lambda a, x: a, 0, seq_cursor((3, 4)),
+                         ClientContract(inv=lambda v, a: True,
+                                        convergence=measure, collection=(5, 4)))
+        assert str(exc.value) == ("convergence at step 2: index 2 out of range "
+                                  "for sequence of length 2")
+        assert isinstance(exc.value.__cause__, EvaluationError)
+
+    def test_wrong_result_types_name_step(self):
+        with pytest.raises(EvaluationError,
+                           match=r"^invariant at step 1: returned non-boolean 1$"):
+            checked_fold(lambda a, x: a, 0, seq_cursor((1, 2)),
+                         ClientContract(inv=lambda v, a: 1 if v else True,
+                                        convergence=lambda c, v: len(c) - len(v),
+                                        collection=(1, 2)))
+        with pytest.raises(EvaluationError,
+                           match=r"^convergence at step 0: returned non-integer 'x'$"):
+            checked_fold(lambda a, x: a, 0, seq_cursor((1,)),
+                         ClientContract(inv=lambda v, a: True,
+                                        convergence=lambda c, v: "x",
+                                        collection=(1,)))
+
+
 class TestContextType:
     def test_push_appends_innermost_last(self):
         ctx = push_frame(EMPTY_CONTEXT, 1, (1,))

@@ -3,12 +3,15 @@
 Random terms over every node kind, with well-typed and ill-typed leaves,
 must give the same value from both, or raise the same exception type with
 the same message. Compiled forms live on the nodes and nowhere else.
+Quantifier bodies built to exercise hoisting (guarded raising subterms,
+empty domains, nested quantifiers, shadowing binders, lets, lambdas and
+sums) must agree too, and a hoisted subterm runs once per quantifier entry.
 """
 
 import functools
 import weakref
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unfold import terms
 from unfold.containers import LEAF, Node
@@ -228,3 +231,147 @@ def test_compiled_forms_are_freed_with_the_ast():
     del scenario, inv
     # freed by reference counting alone: no cache and no cycle holds it
     assert root() is None
+
+
+# -- hoisting of quantifier-invariant subterms ----------------------------------
+#
+# Quantifier bodies mixing subterms that read the bound variables "x", "i",
+# "a" and "y" with subterms that read none, which the compiler hoists.
+
+# variable-free subterms (none of them a leaf) that raise when evaluated
+RAISING = [
+    Cmp("<", Index(Var("s"), IntLit(7)), IntLit(0)),
+    Mem(IntLit(1), Prefix(Var("t"), IntLit(9))),
+    Not(Cmp("=", Len(Var("n")), IntLit(0))),
+    Subset(SetOf(Var("n")), Var("S")),
+    Cmp("=", App(Var("f"), (Var("s"),)), IntLit(1)),
+]
+# variable-free subterms that do not raise
+INVARIANT = [
+    Mem(IntLit(3), SetOf(Var("s"))),
+    Cmp("<", Len(DiffOp(Field(Var("g"), "dom"), Var("S"))), Var("n")),
+    Subset(Var("S"), UnionOp(SetOf(Var("t")), Var("S"))),
+    Cmp("=", App(Field(Var("g"), "suc"), (IntLit(2),)), SetOf(SeqLit((IntLit(2),)))),
+]
+# subterms (none of them a leaf) that read one bound name and nothing else
+READING = [Cmp("<", Var(name), IntLit(2)) for name in ("x", "i", "a", "y")] + [
+    Mem(Var(name), Var("S")) for name in ("x", "i", "a")]
+BINDERS = ("x", "i", "a")
+DOMAINS = [Var("s"), Var("S"), Var("t"), Var("q"), EmptySetLit(), SeqLit(()),
+           Field(Var("g"), "dom"), SetOf(Var("t")), Var("x")]
+PAIRS = [Var("p"), TupleTerm((Arith("+", Var("i"), IntLit(1)), Var("s")))] + [
+    TupleTerm((Var(name), Var("n"))) for name in BINDERS]
+LAMBDAS = st.one_of(
+    st.builds(Lambda, st.just((VarPat("x"),)), term("int", 1)),
+    st.just(Lambda((VarPat("a"),), Arith("+", Var("a"), Var("x")))),
+    st.just(Lambda((VarPat("a"),), Index(Var("s"), IntLit(5)))),
+)
+
+
+def quantified(body):
+    return st.one_of(
+        st.builds(ForallMem, st.sampled_from(BINDERS),
+                  st.one_of(st.sampled_from(DOMAINS), term("set", 1)), body),
+        st.builds(ForallRange, st.sampled_from(BINDERS), leaf("int"), leaf("int"),
+                  body),
+    )
+
+
+def let(body):
+    return st.builds(LetTuple, st.sampled_from([("a", "y"), ("x", "y"), ("i", "x")]),
+                     st.sampled_from(PAIRS), body)
+
+
+def bound(body):
+    """``body`` under a chain of one to three quantifiers and lets."""
+    under_one = lambda b: st.one_of(quantified(b), let(b))
+    return st.one_of(under_one(body), under_one(under_one(body)),
+                     under_one(under_one(under_one(body))))
+
+
+@functools.lru_cache(maxsize=None)
+def body(depth):
+    """Boolean quantifier bodies nested at most ``depth`` deep."""
+    base = st.one_of(term("bool", 1), st.sampled_from(RAISING + INVARIANT + READING))
+    if depth == 0:
+        return base
+    inner = body(depth - 1)
+    return st.one_of(
+        base,
+        st.builds(And, inner, inner),
+        st.builds(Or, inner, inner),
+        st.builds(Implies, inner, inner),
+        st.builds(Not, inner),
+        quantified(inner),
+        let(inner),
+        st.builds(lambda f, lo, hi, k: Cmp("<=", SumTerm(f, lo, hi), k),
+                  LAMBDAS, leaf("int"), leaf("int"), term("int", 1)),
+        st.builds(lambda f, k: Cmp("=", App(f, (k,)), k), LAMBDAS,
+                  term("int", 1)),
+    )
+
+
+X_BELOW_2 = Cmp("<", Var("x"), IntLit(2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(quantified(body(3)), quantified(bound(body(2)))))
+# raising invariant subterms that the guards never reach, or reach late
+@example(ForallMem("x", Var("s"), Or(Cmp("<", Var("x"), IntLit(9)), RAISING[0])))
+@example(ForallMem("x", Var("s"), And(X_BELOW_2, RAISING[1])))
+@example(ForallMem("x", Var("s"), Implies(Cmp(">", Var("x"), IntLit(2)), RAISING[2])))
+# empty domains
+@example(ForallMem("x", EmptySetLit(), RAISING[3]))
+@example(ForallRange("i", Var("n"), IntLit(0), RAISING[4]))
+# an inner quantifier whose body reads only the outer variable
+@example(ForallMem("x", Var("s"), ForallMem("a", Var("t"), X_BELOW_2)))
+# let-bound and shadowing names
+@example(ForallMem("x", Var("s"), LetTuple(
+    ("a", "y"), TupleTerm((Var("x"), Var("n"))), Cmp("<", Var("a"), IntLit(2)))))
+@example(ForallMem("x", Var("t"), ForallMem("x", Var("s"), X_BELOW_2)))
+@example(ForallRange("i", IntLit(0), Var("n"), LetTuple(
+    ("i", "x"), TupleTerm((Arith("+", Var("i"), IntLit(1)), Var("s"))),
+    Cmp("<", Var("i"), IntLit(2)))))
+# lambdas and sums
+@example(ForallMem("x", Var("s"), Cmp("<=", SumTerm(
+    Lambda((VarPat("a"),), Arith("+", Var("a"), Var("x"))), IntLit(0), Var("n")),
+    IntLit(9))))
+def test_hoisted_quantifiers_match_reference(t):
+    want = outcome(lambda: reference_eval.eval_term(t, ENV))
+    assert_same(outcome(lambda: terms.eval_term(t, ENV)), want)
+    assert_same(outcome(lambda: terms.eval_term(t, ENV)), want)
+
+
+def test_a_node_under_two_quantifiers_keeps_each_context():
+    # invariant under "i", not under "x": one node, two compiled contexts
+    shared = Mem(Arith("+", Var("x"), IntLit(1)), Var("S"))
+    over_i = ForallRange("i", IntLit(0), Var("n"), shared)
+    over_x = ForallMem("x", Var("s"), shared)
+    env = dict(ENV, x=2)
+    for t, e, want in ((over_i, env, True), (over_x, env, False),
+                       (shared, dict(env, x=0), True)):
+        assert terms.eval_term(t, e) is want
+        assert reference_eval.eval_term(t, e) is want
+
+
+def test_mirror_inner_builds_each_invariant_set_once_per_check(monkeypatch):
+    from unfold.graphs import MIRROR_INNER
+
+    g = graph_of([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
+    # mirror's state after source 0 and, of source 1, the successor 2
+    acc = graph_of([0, 1, 2], [(1, 0), (2, 0), (2, 1)])
+    visited, visited_p = (0,), (2,)
+    inputs = []
+    init = FiniteSet.__init__
+
+    def counting_init(self, iterable=()):
+        inputs.append(iterable)
+        init(self, iterable)
+
+    monkeypatch.setattr(FiniteSet, "__init__", counting_init)
+    inv = terms.apply_lambda(MIRROR_INNER, [g, 1])
+    for checks in (1, 2):
+        # the body ranges over 3 x 3 bindings (u, w)
+        assert terms.apply_lambda(inv, [visited_p, acc, visited, acc]) is True
+        assert sum(x is visited_p for x in inputs) == checks
+        assert sum(x is visited for x in inputs) == checks

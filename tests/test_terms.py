@@ -42,6 +42,7 @@ from unfold.terms import (
     VarPat,
     lam,
 )
+from unfold.values import CellRef, StackRef, deref, value_key
 
 from helpers import is_prefix
 
@@ -170,6 +171,24 @@ class TestSetOps:
         assert FiniteSet([3, 1, 2]).elems == (1, 2, 3)
         assert FiniteSet([1, 1, 2]).elems == (1, 2)
         assert FiniteSet([(2, 1), (1,)]).elems == ((1,), (2, 1))
+
+    def test_value_key_and_deref_on_bools_and_subclasses(self):
+        class Count(int):
+            pass
+
+        class Stack(StackRef):
+            def contents(self):
+                return ("top",)
+
+        class Cell(CellRef):
+            pass
+
+        for v in (True, Count(3), 3):
+            key = value_key(v)
+            assert key == (0, int(v)) and type(key[1]) is int
+        stack, cell, plain = Stack(), Cell(4), (1, 2)
+        assert deref(stack) == ("top",) and deref(cell) == 4
+        assert deref(plain) is plain and deref(True) is True
 
 
 class TestLambdas:

@@ -84,6 +84,10 @@ def _cmd_demo(args) -> int:
                 "inv": sum(r.inv_checks for r in report.rows),
                 "variant": sum(r.variant_checks for r in report.rows),
             },
+            "cursor_checks": {
+                "permitted": sum(r.permitted_checks for r in report.rows),
+                "complete": sum(r.complete_checks for r in report.rows),
+            },
             "millis": round(millis, 3),
             "invocations": report.to_json_obj(),
         })

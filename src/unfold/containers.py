@@ -4,7 +4,8 @@ Sequences, finite sets, binary trees (element-by-element and level-by-level)
 each get a cursor whose permitted/complete predicates encode the canonical
 iteration contract for that structure. The native predicates used here are
 semantically identical to the term-language formulas the surface syntax
-uses; the test suite checks that equivalence.
+uses; the test suite checks that equivalence
+(``TestNativePredicatesMatchTheirFormulas`` in ``tests/test_containers.py``).
 
 The two permitted predicates are small classes. Each evaluates in full when
 called on a visited sequence, and each also offers the step form that

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import ContractViolation, EvaluationError, ViolationKind
+from .stats import CURRENT as _STATS
 from .terms import Closure, apply_lambda
 from .values import Value
 
@@ -23,8 +24,10 @@ _NO_LOOKAHEAD = object()
 def _eval_predicate(pred: SeqPredicate, visited: tuple, what: str,
                     stepwise: bool = False) -> bool:
     """Evaluate ``pred`` on ``visited``; every permitted/complete check goes
-    through here. With ``stepwise``, ``pred`` is a step form (see
-    :class:`Cursor`) and only the last element of ``visited`` is passed."""
+    through here, and each one that returns is counted in the current
+    :class:`~unfold.stats.CheckStats`. With ``stepwise``, ``pred`` is a step
+    form (see :class:`Cursor`) and only the last element of ``visited`` is
+    passed."""
     try:
         if stepwise:
             result = pred(len(visited) - 1, visited[-1])
@@ -35,6 +38,10 @@ def _eval_predicate(pred: SeqPredicate, visited: tuple, what: str,
     except EvaluationError as exc:
         raise EvaluationError(
             f"{what} predicate at step {len(visited)}: {exc}") from exc
+    if what == "permitted":
+        _STATS.stats.permitted_checks += 1
+    else:
+        _STATS.stats.complete_checks += 1
     if not isinstance(result, bool):
         raise EvaluationError(f"{what} predicate at step {len(visited)}: "
                               f"returned non-boolean {result!r}")

@@ -41,6 +41,8 @@ class ReportRow:
     detail: str = ""
     inv_checks: int = 0
     variant_checks: int = 0
+    permitted_checks: int = 0
+    complete_checks: int = 0
     millis: float = 0.0
     trace: Optional[list] = None
 
@@ -66,6 +68,8 @@ class Report:
                 "result": value_to_json(row.result),
                 "checks": {"inv": row.inv_checks,
                            "variant": row.variant_checks},
+                "cursor_checks": {"permitted": row.permitted_checks,
+                                  "complete": row.complete_checks},
                 "millis": round(row.millis, 3),
             }
             if row.violation is not None:
@@ -222,6 +226,8 @@ def run_invocation(invocation: Invocation, decl: DeclSpec, env: dict,
             finally:
                 row.inv_checks = stats.inv_checks
                 row.variant_checks = stats.variant_checks
+                row.permitted_checks = stats.permitted_checks
+                row.complete_checks = stats.complete_checks
                 row.trace = stats.trace
         if consumer.result is not None:
             result = consumer.result()

@@ -17,12 +17,13 @@ passed explicitly.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .cursor import Cursor
 from .errors import ContractViolation, EvaluationError, ViolationKind
+from .stats import CURRENT as _STATS
+from .stats import CheckStats, collect_stats  # part of this module's API
 from .terms import Closure, apply_lambda
 from .values import Value
 
@@ -77,27 +78,9 @@ def pop_frame(ctx: InvariantContext) -> InvariantContext:
     return InvariantContext(ctx.frames[:-1])
 
 
-@dataclass
-class CheckStats:
-    """Counts of contract evaluations, plus an optional event trace."""
-
-    inv_checks: int = 0
-    variant_checks: int = 0
-    trace: Optional[list] = None
-
-    def record(self, kind: str, step: int, label: str) -> None:
-        if kind == "inv":
-            self.inv_checks += 1
-        else:
-            self.variant_checks += 1
-        if self.trace is not None:
-            self.trace.append((kind, step, label))
-
-
 class _Ambient(threading.local):
     def __init__(self):
         self.context = EMPTY_CONTEXT
-        self.stats = CheckStats()
 
 
 _AMBIENT = _Ambient()
@@ -106,18 +89,6 @@ _AMBIENT = _Ambient()
 def current_context() -> InvariantContext:
     """Nesting context of the innermost checked iteration on this thread."""
     return _AMBIENT.context
-
-
-@contextmanager
-def collect_stats(trace: bool = False):
-    """Collect check counts (and optionally a trace) for the enclosed calls."""
-    previous = _AMBIENT.stats
-    stats = CheckStats(trace=[] if trace else None)
-    _AMBIENT.stats = stats
-    try:
-        yield stats
-    finally:
-        _AMBIENT.stats = previous
 
 
 @dataclass
@@ -169,7 +140,7 @@ class _Loop:
             result = _apply_spec(self.contract.inv, args, "invariant")
         except EvaluationError as exc:
             raise EvaluationError(f"invariant at step {step}: {exc}") from exc
-        _AMBIENT.stats.record("inv", step, self.contract.inv_label)
+        _STATS.stats.record("inv", step, self.contract.inv_label)
         if not isinstance(result, bool):
             raise EvaluationError(
                 f"invariant at step {step}: returned non-boolean {result!r}")
@@ -186,7 +157,7 @@ class _Loop:
                             [self.contract.collection, visited], "convergence")
         except EvaluationError as exc:
             raise EvaluationError(f"convergence at step {step}: {exc}") from exc
-        _AMBIENT.stats.record("variant", step, self.contract.convergence_label)
+        _STATS.stats.record("variant", step, self.contract.convergence_label)
         if isinstance(m, bool) or not isinstance(m, int):
             raise EvaluationError(
                 f"convergence at step {step}: returned non-integer {m!r}")

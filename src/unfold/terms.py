@@ -26,6 +26,36 @@ with the same message. Cheap leaves and lambdas are never hoisted, nothing
 is hoisted into or out of a lambda body, and equal subterms at different
 places keep separate slots, so no value is shared that plain evaluation
 would have built twice.
+
+Two prefix forms resume where their last evaluation stopped, after Ditto
+(Shankar and Bodik, "DITTO: automatic incrementalization of data structure
+invariant checks", PLDI 2007): ``forall i. lo <= i < len X -> body`` and
+``sum (fun i -> body) lo (len X)`` with ``X`` a variable, each compiled
+outside any quantifier body. Every ``permitted`` over a visited prefix and
+most client invariants have this shape, and checking them afresh at every
+step of an iteration costs quadratic time. Each such node keeps one memo:
+the raw values of the names its body reads, the lower bound, and how many
+leading bindings are known to hold (for ``sum``, the running total up to
+there). The next evaluation skips those bindings when its lower bound is
+the same and each name's value is such that the bindings cannot have
+changed: a *grow* name, one the body reads only as ``X[e]`` and never
+rebinds (``X`` must be one), is a tuple extending the remembered one
+element by element, by identity; every other name holds the identical
+object. Every value read must be closed all the way down: integers,
+booleans, unit, strings, and tuples and values with a structural key that
+hold no mutable reference or function anywhere inside, since a binder in
+the body (``forall x in p``, ``let``, a lambda parameter) would keep such a
+reference and read its current contents. A grown element is checked once,
+when it is added. The form is recognised only when its body applies no
+function value taken from the environment or a sequence, only syntactic
+lambdas and graph fields, so each binding's outcome depends on nothing else
+and resuming is exact. Any other evaluation runs in full from ``lo`` and
+re-seeds the memo. The memo counts only the bindings before the first false
+or raising one, which is evaluated again next time, so a failure is
+reported at the same binding with the same message. It is one tuple,
+replaced whole, and it keeps the values its last evaluation read (a whole
+visited tuple, a graph) alive for as long as the node lives: one state per
+node, so the memory held is bounded but not released when the loop ends.
 """
 
 from __future__ import annotations
@@ -422,28 +452,42 @@ def _children(t: Term):
             yield from (item for item in v if isinstance(item, Term))
 
 
+def _own_free_vars(t: Term) -> frozenset:
+    """``free_vars(t)`` from the free variables its children already keep."""
+    fv = lambda child: child._fv
+    match t:
+        case Var(name):
+            return frozenset((name,))
+        case IntLit() | BoolLit() | UnitLit() | EmptySetLit() | ConstValue():
+            return _NO_NAMES
+        case LetTuple(names, rhs, body):
+            return fv(rhs) | (fv(body) - set(names))
+        case ForallRange(var, lo, hi, body):
+            return fv(lo) | fv(hi) | (fv(body) - {var})
+        case ForallMem(var, coll, body):
+            return fv(coll) | (fv(body) - {var})
+        case Lambda(params, body):
+            return fv(body) - _pattern_names(params)
+    return _NO_NAMES.union(*map(fv, _children(t)))
+
+
 def free_vars(t: Term) -> frozenset:
     """Names that ``t`` reads from its environment. Computed once per node,
-    from its children's, and kept in the node's ``_fv`` slot."""
-    fv = getattr(t, "_fv", None)
-    if fv is None:
-        match t:
-            case Var(name):
-                fv = frozenset((name,))
-            case IntLit() | BoolLit() | UnitLit() | EmptySetLit() | ConstValue():
-                fv = _NO_NAMES
-            case LetTuple(names, rhs, body):
-                fv = free_vars(rhs) | (free_vars(body) - set(names))
-            case ForallRange(var, lo, hi, body):
-                fv = free_vars(lo) | free_vars(hi) | (free_vars(body) - {var})
-            case ForallMem(var, coll, body):
-                fv = free_vars(coll) | (free_vars(body) - {var})
-            case Lambda(params, body):
-                fv = free_vars(body) - _pattern_names(params)
-            case _:
-                fv = _NO_NAMES.union(*map(free_vars, _children(t)))
-        object.__setattr__(t, "_fv", fv)
-    return fv
+    from its children's, and kept in the node's ``_fv`` slot. The walk keeps
+    its own stack, so a long operator chain does not exhaust Python's."""
+    pending = [t]
+    while pending:
+        node = pending[-1]
+        if getattr(node, "_fv", None) is not None:
+            pending.pop()
+            continue
+        todo = [c for c in _children(node) if getattr(c, "_fv", None) is None]
+        if todo:
+            pending += todo
+        else:
+            pending.pop()
+            object.__setattr__(node, "_fv", _own_free_vars(node))
+    return t._fv
 
 
 _UNSET = object()
@@ -499,22 +543,174 @@ def _compile_in(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
     return _compile(t, scopes)
 
 
-def _quantifier(var: str, body: Term, scopes: Scopes):
-    """``(env, domain) -> bool`` deciding ``forall var in domain. body``."""
+def _quantifier_body(var: str, body: Term, scopes: Scopes):
+    """``(enter, body_)`` for a quantifier over ``var``: ``enter(env)`` is a
+    fresh environment for one entry, ``body_`` the body compiled for it."""
     memo = _Memo()
     body_ = _compile_in(body, _bind(scopes, (var,)) + ((memo, frozenset((var,))),))
     size = memo.size
+    if not size:
+        return dict, body_
+
+    def enter(env):
+        inner_env = dict(env)
+        inner_env[memo] = [_UNSET] * size
+        return inner_env
+    return enter, body_
+
+
+def _quantifier(var: str, body: Term, scopes: Scopes):
+    """``(env, domain) -> bool`` deciding ``forall var in domain. body``."""
+    enter, body_ = _quantifier_body(var, body, scopes)
 
     def forall(env, domain):
-        inner_env = dict(env)
-        if size:
-            inner_env[memo] = [_UNSET] * size
+        inner_env = enter(env)
         for x in domain:
             inner_env[var] = x
             if not _as_bool(body_(inner_env), "quantifier body"):
                 return False
         return True
     return forall
+
+
+# -- prefix forms that resume (see the module docstring) ---------------------------
+
+def _prefix_names(var: str, body: Term, seq: str):
+    """``(grow, fixed)``: the names a prefix form over ``var`` from ``lo`` to
+    ``len seq`` must check before it resumes, or None when ``body`` applies
+    a function value that is not a syntactic lambda or a graph field, or
+    ``seq`` is not a grow name. The walk keeps its own stack."""
+    index_read, other_read, bound = set(), set(), {var}
+    pending = [body]
+    while pending:
+        t = pending.pop()
+        match t:
+            case Index(Var(name), index):
+                index_read.add(name)
+                pending.append(index)
+                continue
+            case Var(name):
+                other_read.add(name)
+            case App(fn, _) if not isinstance(fn, (Lambda, Field)):
+                return None
+            case SumTerm(fn, _, _) if not isinstance(fn, Lambda):
+                return None
+            case ForallRange(name, _, _, _) | ForallMem(name, _, _):
+                bound.add(name)
+            case LetTuple(names, _, _):
+                bound.update(names)
+            case Lambda(params, _):
+                bound.update(_pattern_names(params))
+        pending += _children(t)
+    names = free_vars(body) - {var}
+    grow = {name for name in (names & index_read) | {seq}
+            if name not in other_read and name not in bound}
+    if seq not in grow:
+        return None
+    return tuple(sorted(grow)), tuple(sorted(names - grow))
+
+
+def _extends(new: Value, old: tuple) -> bool:
+    """``new`` is ``old`` followed by more elements, the same objects, and
+    the added elements are closed (each is checked once, when added)."""
+    return new is old or (isinstance(new, tuple) and len(new) >= len(old)
+                          and all(map(operator.is_, old, new))
+                          and _closed(new[len(old):]))
+
+
+def _closed(v: Value) -> bool:
+    """Immutable all the way down: no reference cell or function anywhere
+    inside. Tuples are walked; a value with a structural key is closed when
+    the key can be computed, which fails on a cell or a function inside."""
+    pending = [v]
+    while pending:
+        v = pending.pop()
+        if v is None or isinstance(v, (int, str)):
+            continue
+        if isinstance(v, tuple):
+            pending += v
+        elif hasattr(type(v), "_value_key_"):
+            try:
+                v._value_key_()
+            except TypeError:
+                return False
+        else:
+            return False
+    return True
+
+
+class _PrefixMemo:
+    """How far one prefix form got. ``state`` is None or the tuple
+    ``(grow values, fixed values, lo, held, total)``: with those values and
+    that lower bound, the first ``held`` bindings hold (and sum to
+    ``total``). It is replaced whole, never updated in place."""
+
+    __slots__ = ("grow", "fixed", "state")
+
+    def __init__(self, grow: tuple, fixed: tuple):
+        self.grow, self.fixed, self.state = grow, fixed, None
+
+    def resume(self, env: Env, lo: int):
+        """``(values, held, total)`` for an evaluation under ``env`` from
+        ``lo``; ``values`` is None when they cannot seed a memo."""
+        get = env.get
+        grow = tuple([get(name, _UNSET) for name in self.grow])
+        fixed = tuple([get(name, _UNSET) for name in self.fixed])
+        state = self.state
+        if (state is not None and state[2] == lo
+                and all(map(_extends, grow, state[0]))
+                and all(map(operator.is_, fixed, state[1]))):
+            return (grow, fixed), state[3], state[4]
+        if all(isinstance(v, tuple) for v in grow) and _closed((grow, fixed)):
+            return (grow, fixed), 0, 0
+        return None, 0, 0
+
+    def save(self, values, lo: int, held: int, total: int = 0) -> None:
+        if values is not None:
+            self.state = (*values, lo, held, total)
+
+
+def _prefix_forall(t: ForallRange, grow: tuple, fixed: tuple):
+    var, lo_, hi_ = t.var, compile_term(t.lo), compile_term(t.hi)
+    enter, body_ = _quantifier_body(var, t.body, ())
+    memo = _PrefixMemo(grow, fixed)
+
+    def run(env):
+        lo_v = _as_int(lo_(env), "quantifier bound")
+        hi_v = _as_int(hi_(env), "quantifier bound")
+        values, held, _ = memo.resume(env, lo_v)
+        i = start = lo_v + held
+        try:
+            inner_env = enter(env)
+            for i in range(start, hi_v):
+                inner_env[var] = i
+                if not _as_bool(body_(inner_env), "quantifier body"):
+                    return False
+            i = max(start, hi_v)
+            return True
+        finally:
+            memo.save(values, lo_v, i - lo_v)
+    return run
+
+
+def _prefix_sum(t: SumTerm, grow: tuple, fixed: tuple):
+    f_, lo_, hi_ = compile_term(t.fn), compile_term(t.lo), compile_term(t.hi)
+    memo = _PrefixMemo(grow, fixed)
+
+    def run(env):
+        f = f_(env)
+        lo_v = _as_int(lo_(env), "'sum' bound")
+        hi_v = _as_int(hi_(env), "'sum' bound")
+        values, held, total = memo.resume(env, lo_v)
+        i = start = lo_v + held
+        try:
+            for i in range(start, hi_v):
+                total += _as_int(apply_lambda(f, [i]), "'sum' body")
+            i = max(start, hi_v)
+            return total
+        finally:
+            memo.save(values, lo_v, i - lo_v, total)
+    return run
 
 
 # -- the compiler ---------------------------------------------------------------
@@ -528,6 +724,18 @@ def _operator(table: dict, kind: str, op: str) -> Callable[[int, int], Value]:
     def unknown(a: int, b: int) -> Value:
         raise EvaluationError(f"unknown {kind} operator '{op}'")
     return table.get(op, unknown)
+
+
+def _left_chain(t: Term, kind: type) -> tuple:
+    """``(first, nodes)`` for the left-nested chain of ``kind`` nodes rooted
+    at ``t``: its leftmost operand, and its nodes innermost first, so that
+    the operands are ``first`` and then each node's ``right``."""
+    nodes = []
+    while isinstance(t, kind):
+        nodes.append(t)
+        t = t.left
+    nodes.reverse()
+    return t, nodes
 
 
 def _set_op(method: Callable, what: str, a_, b_):
@@ -562,10 +770,20 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
             run = lambda env: None
         case EmptySetLit():
             run = lambda env: EMPTY_SET
-        case Arith(op, left, right):
-            what, a_, b_ = f"'{op}'", sub(left), sub(right)
-            fn = _operator(_ARITH, "arithmetic", op)
-            run = lambda env: fn(_as_int(a_(env), what), _as_int(b_(env), what))
+        # A left-nested chain (a + b - c ..., a /\ b /\ ..., a \/ b \/ ...)
+        # runs as one loop over its operands, so a long chain compiles
+        # without deep recursion.
+        case Arith():
+            first, nodes = _left_chain(t, Arith)
+            first_ = sub(first)
+            steps = tuple((f"'{n.op}'", _operator(_ARITH, "arithmetic", n.op),
+                           sub(n.right)) for n in nodes)
+
+            def run(env):
+                v = first_(env)
+                for what, fn, b_ in steps:
+                    v = fn(_as_int(v, what), _as_int(b_(env), what))
+                return v
         case Cmp("=", left, right):
             a_, b_ = sub(left), sub(right)
             run = lambda env: value_eq(a_(env), b_(env))
@@ -578,14 +796,24 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
             def run(env):
                 a, b = a_(env), b_(env)
                 return fn(_as_int(a, what), _as_int(b, what))
-        case And(left, right):
-            a_, b_ = sub(left), sub(right)
-            run = lambda env: (_as_bool(a_(env), "'/\\'")
-                               and _as_bool(b_(env), "'/\\'"))
-        case Or(left, right):
-            a_, b_ = sub(left), sub(right)
-            run = lambda env: (_as_bool(a_(env), "'\\/'")
-                               or _as_bool(b_(env), "'\\/'"))
+        case And():
+            first, nodes = _left_chain(t, And)
+            operands = (sub(first), *(sub(n.right) for n in nodes))
+
+            def run(env):
+                for a_ in operands:
+                    if not _as_bool(a_(env), "'/\\'"):
+                        return False
+                return True
+        case Or():
+            first, nodes = _left_chain(t, Or)
+            operands = (sub(first), *(sub(n.right) for n in nodes))
+
+            def run(env):
+                for a_ in operands:
+                    if _as_bool(a_(env), "'\\/'"):
+                        return True
+                return False
         case Not(inner):
             a_ = sub(inner)
             run = lambda env: not _as_bool(a_(env), "'not'")
@@ -667,6 +895,9 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
         case Field(inner, name):
             run = _method(sub(inner), f"field_{name}",
                           lambda v: f"value {v!r} has no field '.{name}'")
+        case ForallRange(var, lo, Len(Var(seq)), body) if not scopes and (
+                names := _prefix_names(var, body, seq)):
+            run = _prefix_forall(t, *names)
         case ForallRange(var, lo, hi, body):
             lo_, hi_, forall = sub(lo), sub(hi), _quantifier(var, body, scopes)
             def run(env):
@@ -696,6 +927,9 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
                 if callable(f):
                     return f(*vals)
                 raise EvaluationError(f"cannot apply non-function value {f!r}")
+        case SumTerm(Lambda((VarPat(var),), body), lo, Len(Var(seq))) if (
+                not scopes and (names := _prefix_names(var, body, seq))):
+            run = _prefix_sum(t, *names)
         case SumTerm(fn, lo, hi):
             f_, lo_, hi_ = sub(fn), sub(lo), sub(hi)
             def run(env):

@@ -91,6 +91,24 @@ class TestCheck:
         assert entry["result"] == 6
         assert entry["checks"] == {"inv": 4, "variant": 6}
 
+    def test_json_counts_permitted_and_complete_checks(self, scenario_file):
+        proc = unfold("check", str(scenario_file), "--format", "json")
+        (entry,) = json.loads(proc.stdout)
+        # three steps: permitted before the first and after each, complete
+        # once, at exhaustion
+        assert entry["cursor_checks"] == {"permitted": 4, "complete": 1}
+
+    def test_long_operator_chain_exits_zero_without_traceback(self, tmp_path):
+        path = tmp_path / "chain.scn"
+        chain = " + ".join(["1"] * 600)
+        path.write_text(PASSING_SCENARIO.replace("expect = 6",
+                                                 f"expect = {chain} - 594"),
+                        encoding="utf-8")
+        proc = unfold("check", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "pass" in proc.stdout
+
     def test_seed_flag(self, scenario_file):
         proc = unfold("check", str(scenario_file), "--seed", "7")
         assert proc.returncode == 0
@@ -146,3 +164,13 @@ class TestDemo:
                          "counter_filter_seq", "counter_map_seq", "intersect",
                          "union", "complement", "mirror", "copy_vertices",
                          "check_path", "sum_tree", "height_tree", "gt_tree"]
+
+    def test_demo_json_counts_one_permitted_check_per_invariant_check(self):
+        proc = unfold("demo", "--format", "json")
+        for row in json.loads(proc.stdout):
+            checks, cursor = row["checks"], row["cursor_checks"]
+            # every loop checks permitted and its invariant before its first
+            # step and after each, complete once, and the measure twice a step
+            assert cursor["permitted"] == checks["inv"], row["row"]
+            assert checks["variant"] == 2 * (checks["inv"] - cursor["complete"])
+            assert cursor["complete"] >= len(row["invocations"])

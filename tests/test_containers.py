@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unfold import (
     LEAF,
@@ -18,6 +19,9 @@ from unfold import (
     stack_of_seq,
     tree_cursor,
 )
+from unfold.containers import _DistinctMembers, _PrefixOf
+from unfold.dsl import parse_term_text
+from unfold.terms import apply_lambda, eval_term
 from unfold.values import value_key
 
 from helpers import bfs_values, random_seq, random_tree, tree_height
@@ -244,3 +248,50 @@ class TestGenericSoundness:
             t = random_tree(rng, rng.randint(0, 25))
             assert_cursor_soundness(tree_cursor(t))
             assert_cursor_soundness(level_cursor(t))
+
+
+# -- the native predicates against the term formulas they restate ------------------
+
+PREFIX_OF = parse_term_text(
+    r"(fun v -> len v <= len s /\ forall i. 0 <= i < len v -> v[i] = s[i])")
+SEQ_COMPLETE = parse_term_text("(fun v -> len v = len s)")
+DISTINCT_MEMBERS = parse_term_text(r"(fun v -> subset v m /\ distinct v)")
+SET_COMPLETE = parse_term_text("(fun v -> setof v = m)")
+ELEMS = st.one_of(st.integers(-3, 3), st.tuples(st.integers(0, 2), st.integers(0, 2)))
+
+
+class TestNativePredicatesMatchTheirFormulas:
+    """Each visited prefix is checked by the native predicate, its step
+    form, and one closure of the term formula, applied to every prefix in
+    turn so that the formula's compiled form resumes from the prefix before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ELEMS, max_size=8).map(tuple),
+           st.lists(ELEMS, max_size=3).map(tuple), st.data())
+    def test_prefix_of_source_and_sequence_complete(self, source, tail, data):
+        produced = source[:data.draw(st.integers(0, len(source)))] + tail
+        native, native_complete = _PrefixOf(source), seq_cursor(source).complete
+        permitted = eval_term(PREFIX_OF, {"s": source})
+        complete = eval_term(SEQ_COMPLETE, {"s": source})
+        for k in range(len(produced) + 1):
+            v = produced[:k]
+            assert native(v) is apply_lambda(permitted, [v])
+            assert native_complete(v) is apply_lambda(complete, [v])
+            if k and native(v[:-1]):
+                assert native.step(k - 1, v[-1]) is native(v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ELEMS, max_size=6), st.data())
+    def test_distinct_members_and_set_complete(self, members, data):
+        m = FiniteSet(members)
+        pick = st.one_of(ELEMS, st.sampled_from(members)) if members else ELEMS
+        produced = tuple(data.draw(st.lists(pick, max_size=8)))
+        native, native_complete = _DistinctMembers(m), set_cursor(m).complete
+        permitted = eval_term(DISTINCT_MEMBERS, {"m": m})
+        complete = eval_term(SET_COMPLETE, {"m": m})
+        for k in range(len(produced) + 1):
+            v = produced[:k]
+            assert native(v) is apply_lambda(permitted, [v])
+            assert native_complete(v) is apply_lambda(complete, [v])
+            if k and native(v[:-1]):
+                assert native.step(k - 1, v[-1]) is native(v)

@@ -6,6 +6,9 @@ the same message. Compiled forms live on the nodes and nowhere else.
 Quantifier bodies built to exercise hoisting (guarded raising subterms,
 empty domains, nested quantifiers, shadowing binders, lets, lambdas and
 sums) must agree too, and a hoisted subterm runs once per quantifier entry.
+Prefix forms, which resume from their last evaluation, must agree at every
+call of a sequence in which their environment grows, shrinks or changes;
+long operator chains must compile and evaluate.
 """
 
 import functools
@@ -13,7 +16,7 @@ import weakref
 
 from hypothesis import example, given, settings, strategies as st
 
-from unfold import terms
+from unfold import ClientContract, checked_fold, collect_stats, create_cursor, terms
 from unfold.containers import LEAF, Node
 from unfold.dsl import parse_scenario, run_scenario
 from unfold.graphs import graph_of
@@ -375,3 +378,249 @@ def test_mirror_inner_builds_each_invariant_set_once_per_check(monkeypatch):
         assert terms.apply_lambda(inv, [visited_p, acc, visited, acc]) is True
         assert sum(x is visited_p for x in inputs) == checks
         assert sum(x is visited for x in inputs) == checks
+
+
+# -- long operator chains ---------------------------------------------------------
+
+
+def _chain(kind, operands):
+    t = operands[0]
+    for right in operands[1:]:
+        t = kind(t, right)
+    return t
+
+
+def test_long_operator_chains_compile_and_evaluate():
+    ones = [IntLit(1)] * 2001
+    assert terms.eval_term(_chain(lambda a, b: Arith("+", a, b), ones), {}) == 2001
+    mixed = [Var("n")] + [IntLit(k) for k in range(1, 2001)]
+    ops = iter("+-*" * 700)
+    t = _chain(lambda a, b: Arith(next(ops), a, b), mixed)
+    want, ops = 3, iter("+-*" * 700)
+    for k in range(1, 2001):
+        want = {"+": want + k, "-": want - k, "*": want * k}[next(ops)]
+    assert terms.eval_term(t, {"n": 3}) == want
+    assert terms.free_vars(t) == {"n"}
+
+    true = Cmp("<", IntLit(0), Var("n"))
+    assert terms.eval_term(_chain(And, [true] * 2001), {"n": 1}) is True
+    assert terms.eval_term(_chain(Or, [Not(true)] * 2001), {"n": 1}) is False
+    # short-circuits at the first false operand: the later ones would raise
+    raising = Cmp("<", Index(Var("s"), IntLit(9)), IntLit(0))
+    guarded = _chain(And, [true] * 1000 + [Not(true)] + [raising] * 1000)
+    assert terms.eval_term(guarded, {"n": 1, "s": ()}) is False
+    with_error = _chain(And, [true] * 1000 + [raising] + [Not(true)] * 1000)
+    want = outcome(lambda: reference_eval.eval_term(
+        _chain(And, [true, raising, Not(true)]), {"n": 1, "s": ()}))
+    assert outcome(lambda: terms.eval_term(with_error, {"n": 1, "s": ()})) == want
+    assert terms.free_vars(with_error) == {"n", "s"}
+
+
+# -- prefix forms that resume from their last evaluation -----------------------------
+#
+# One compiled form evaluated on a sequence of environments, each made from
+# the one before by one change, must agree with the reference interpreter at
+# every call. "s" and "t" are grow names of most forms; "n", "p" are fixed
+# names of the closed domain, "c" a reference cell, "r" a tuple holding one
+# and "fs" a tuple holding a closure, all of which must make the form
+# evaluate in full. The cell is also an element the sequences can grow by.
+
+LONG = "x" * 50  # equal copies of it are distinct objects, unequal to value_eq
+CELL = CellRef(1)
+LIMIT = CellRef(2)
+BELOW_LIMIT = Closure(Lambda((VarPat("x"),), Cmp("<", Var("x"), Var("lim"))),
+                      {"lim": LIMIT})
+I, S, T = Var("i"), Var("s"), Var("t")
+
+
+def _forall(lo, body, seq="s"):
+    return ForallRange("i", lo, Len(Var(seq)), body)
+
+
+def _sum(lo, body, seq="s"):
+    return SumTerm(Lambda((VarPat("i"),), body), lo, Len(Var(seq)))
+
+
+PREFIX_FORMS = [
+    _forall(Var("lo"), Cmp("=", Index(S, I), Index(T, I))),
+    _forall(IntLit(0), Cmp("<>", Index(S, I), ConstValue(LONG))),
+    _forall(IntLit(1), Cmp("<=", Index(S, Arith("-", I, IntLit(1))), Index(S, I))),
+    _forall(Var("lo"), Mem(Index(S, I), SetOf(Var("p")))),
+    _forall(IntLit(0), Cmp("<", Index(S, I), Var("c"))),
+    _forall(IntLit(0), App(Index(Var("fs"), IntLit(0)), (Index(S, I),))),
+    _forall(IntLit(0), Implies(Cmp("<", Var("n"), I), ForallRange(
+        "j", I, Len(T), Cmp("<", Index(T, Var("j")), Index(S, I))))),
+    _forall(IntLit(0), ForallMem("x", Var("r"), Cmp("<", Index(S, I), Var("x")))),
+    _forall(IntLit(0), LetTuple(("a", "b"), Var("r"),
+                                Cmp("<", Index(S, I), Arith("+", Var("a"), Var("b"))))),
+    _forall(IntLit(0), App(Lambda((VarPat("x"),), Cmp("<", Var("x"), IntLit(3))),
+                           (Index(S, I),))),
+    _sum(Var("lo"), Arith("+", Index(S, I), Var("n"))),
+    _sum(IntLit(0), Arith("*", Index(S, I), Var("c"))),
+    _sum(IntLit(0), Len(Index(T, I))),
+    _sum(IntLit(0), App(Lambda((VarPat("x"),), Arith("-", Var("x"), Var("n"))),
+                        (Index(S, I),))),
+    _sum(Var("lo"), Cmp("<", Index(S, I), Index(T, I))),
+]
+# elements of the grown sequences: ints one time in two, else the long
+# string, a short tuple, the cell or a tuple holding it
+ITEMS = st.one_of(st.integers(-2, 4),
+                  st.sampled_from([LONG, (0, 1), (2, 0), CELL, (CELL, 0)]))
+
+
+def _copy(x):
+    """An equal value built afresh: strings become distinct objects."""
+    if isinstance(x, str):
+        return x[:1] + x[1:]
+    if isinstance(x, tuple):
+        return tuple(map(_copy, x))
+    return x
+
+
+# one change in two grows a sequence
+CHANGES = st.one_of(
+    st.tuples(st.just("append"), st.sampled_from("st"), ITEMS),
+    st.one_of(
+        st.tuples(st.just("copy"), st.sampled_from("st")),
+        st.tuples(st.just("shrink"), st.sampled_from("st"), st.integers(0, 3)),
+        st.tuples(st.just("replace"), st.sampled_from("st"), st.integers(0, 9),
+                  ITEMS),
+        st.tuples(st.just("lo"), st.integers(-1, 2)),
+        st.tuples(st.just("n"), st.integers(-1, 2)),
+        st.tuples(st.just("p")),
+        st.tuples(st.just("cell"), st.integers(-2, 5)),
+        st.tuples(st.just("limit"), st.integers(-2, 5)),
+        st.tuples(st.just("closure")),
+    ),
+)
+
+
+def _change(env, change):
+    kind, *args = change
+    if kind == "append":
+        name, item = args
+        env[name] += (item,)
+    elif kind == "copy":
+        env[args[0]] = _copy(env[args[0]])
+    elif kind == "shrink":
+        name, k = args
+        env[name] = env[name][:max(0, len(env[name]) - k)]
+    elif kind == "replace":
+        name, j, item = args
+        seq = env[name]
+        if seq:
+            j %= len(seq)
+            env[name] = seq[:j] + (item,) + seq[j + 1:]
+    elif kind in ("lo", "n"):
+        env[kind] = args[0]
+    elif kind == "p":
+        env["p"] = _copy(env["p"])  # equal, not identical: must evaluate in full
+    elif kind == "cell":
+        CELL.value = args[0]
+    elif kind == "limit":
+        LIMIT.value = args[0]
+    else:
+        env["fs"] = (Closure(BELOW_LIMIT.lam, {"lim": CellRef(LIMIT.value)}),)
+
+
+def _prefix_env():
+    return {"s": (0, 1, 2), "t": (0, 1, 2), "lo": 0, "n": 1, "p": (0, 1, LONG), "c": CELL,
+            "r": (CELL, 3), "fs": (BELOW_LIMIT,)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CHANGES, min_size=5, max_size=40))
+def test_prefix_forms_match_reference_across_calls(changes):
+    env = _prefix_env()
+    for change in [None] + changes:
+        if change is not None:
+            _change(env, change)
+        for form in PREFIX_FORMS:
+            want = outcome(lambda: reference_eval.eval_term(form, env))
+            assert_same(outcome(lambda: terms.eval_term(form, env)), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.builds(lambda b: _forall(IntLit(0), b), term("bool", 2)),
+                 st.builds(lambda b: _sum(Var("k"), b), term("int", 2)),
+                 st.builds(lambda b: _forall(Var("n"), b, seq="t"), body(1))),
+       st.lists(st.one_of(CHANGES, st.tuples(st.just("append"), st.just("s"),
+                                             st.integers(-2, 4))),
+                max_size=12))
+def test_random_prefix_bodies_match_reference_across_calls(form, changes):
+    env = dict(ENV, s=(), t=(2,), q=_stack(1, 2))
+    for change in [None] + changes:
+        if change is not None:
+            _change(env, change)
+        want = outcome(lambda: reference_eval.eval_term(form, env))
+        assert_same(outcome(lambda: terms.eval_term(form, env)), want)
+
+
+def test_a_reference_inside_a_value_is_read_afresh():
+    # a cell held in a fixed tuple, or grown into the sequence, can change
+    # between two evaluations while every name keeps its binding
+    cell = CellRef(5)
+    in_fixed = _forall(IntLit(0), ForallMem("x", Var("p"), Cmp("<", Index(S, I), Var("x"))))
+    in_grow = _sum(IntLit(0), App(Lambda((VarPat("x"),), Var("x")), (Index(S, I),)))
+    fixed_env, grow_env = {"s": (0, 1, 2), "p": (cell,)}, {"s": (0, 1, 2)}
+
+    def check(form, env, want):
+        assert terms.eval_term(form, env) == want
+        assert reference_eval.eval_term(form, env) == want
+
+    check(in_fixed, fixed_env, True)
+    check(in_grow, grow_env, 3)
+    grow_env["s"] += (cell,)
+    check(in_grow, grow_env, 8)
+    cell.value = 0
+    check(in_fixed, fixed_env, False)
+    check(in_grow, grow_env, 3)
+    grow_env["s"] += (cell,)
+    check(in_grow, grow_env, 3)
+    cell.value = 1
+    check(in_grow, grow_env, 5)
+
+
+def test_a_failing_binding_is_evaluated_again_next_time():
+    form = _forall(IntLit(0), Cmp("<", Index(S, I), Index(T, I)))
+    t1 = (1, 2)
+    t2 = t1 + (0,)
+    t3 = (1, 2, 3)  # not an extension of t2
+    for t, want in ((t1, "index 2 out of range for sequence of length 2"),
+                    (t2, False), (t3, True), (t3 + (4,), True)):
+        env = {"s": (0, 1, 2), "t": t}
+        got = outcome(lambda: terms.eval_term(form, env))
+        assert got == outcome(lambda: reference_eval.eval_term(form, env))
+        assert (got[1] if got[0] == "value" else got[2]) == want
+
+
+def test_checked_fold_applies_the_sum_body_once_per_step(monkeypatch):
+    n = 2000
+    s = tuple(range(-n // 2, n // 2))
+    v = Var("v")
+    permitted = terms.lam("v", And(
+        Cmp("<=", Len(v), Len(Var("s"))),
+        _forall(IntLit(0), Cmp("=", Index(v, I), Index(Var("s"), I)), seq="v")),
+        {"s": s})
+    complete = terms.lam("v", Cmp("=", Len(v), Len(Var("s"))), {"s": s})
+    body = Lambda((VarPat("i"),), Index(v, I))
+    inv = terms.lam("v a", Cmp("=", Var("a"), SumTerm(body, IntLit(0), Len(v))))
+    measure = terms.lam("c v", Arith("-", Len(Var("c")), Len(v)))
+    applied = []
+    apply_lambda = terms.apply_lambda
+
+    def counting(f, args):
+        if getattr(f, "lam", f) is body:
+            applied.append(args[0])
+        return apply_lambda(f, args)
+
+    monkeypatch.setattr(terms, "apply_lambda", counting)
+    with collect_stats() as stats:
+        total = checked_fold(lambda a, x: a + x, 0,
+                             create_cursor(s, permitted, complete),
+                             ClientContract(inv, measure, s))
+    assert total == sum(s)
+    assert stats.inv_checks == stats.permitted_checks == n + 1
+    assert stats.complete_checks == 1
+    # resumed at every check: one new binding each; in full it is n * (n + 1) / 2
+    assert len(applied) <= 2 * n + 10

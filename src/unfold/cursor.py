@@ -68,8 +68,7 @@ class Cursor:
         self._producer = producer
         self.permitted = permitted
         self.complete = complete
-        self._permitted_step = (None if isinstance(permitted, Closure)
-                                else getattr(permitted, "step", None))
+        self._permitted_step = getattr(permitted, "step", None)
         self._visited: tuple = ()
         self._lookahead: Value = _NO_LOOKAHEAD
         self._exhausted = False

@@ -55,16 +55,6 @@ decl fold_vertex {
 }
 """
 
-_FOLD_SUCC_DECL = r"""
-decl fold_succ {
-  r = fold_succ func acc pair
-  folds ~permitted:(fun v -> let (g, s) = collection in
-                    subset v (g.suc s) /\ distinct v)
-        ~complete:(fun v -> let (g, s) = collection in len v = len (g.suc s))
-  with structure = (gt * vt), elt = vt, accumulator = acc
-}
-"""
-
 _TREE_FOLD_DECL = r"""
 decl fold_tree {
   r = fold func acc col

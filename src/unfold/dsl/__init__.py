@@ -14,7 +14,16 @@ from .parser import (
 )
 from .render import render_call, render_decl, render_term
 from .desugar import desugar, desugar_file
-from .scenario import Report, ReportRow, run_scenario
+
+
+def __getattr__(name: str):
+    # The scenario runner imports graphs, and graphs parses its step
+    # invariants with this package: load the runner on first use.
+    if name in ("Report", "ReportRow", "run_scenario"):
+        from . import scenario
+        return getattr(scenario, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CallSpec",

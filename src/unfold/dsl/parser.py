@@ -9,7 +9,6 @@ from typing import Callable, Optional, Union
 from .. import terms as T
 from ..containers import LEAF, Node
 from ..errors import ParseError, SemanticError
-from ..graphs import graph_of
 from ..terms import Term, eval_term
 from ..values import Value
 from .lexer import Token, strip_wrapper, tokenize
@@ -555,6 +554,7 @@ class _Parser:
             w = self._parse_int()
             edges.append((u, w))
         self.eat("PUNCT", "}")
+        from ..graphs import graph_of  # graphs imports this module
         try:
             return graph_of(vertices, edges)
         except Exception as exc:
@@ -648,12 +648,16 @@ class _Parser:
             if self.at_kw("collection"):
                 self.advance()
                 name = self.eat_ident("collection name")
+                if name in scenario.collections:
+                    raise SemanticError(f"duplicate collection {name!r}")
                 self.eat("PUNCT", "=")
                 scenario.collections[name] = self._parse_collection_value(
                     scenario)
             elif self.at_kw("decl"):
                 self.advance()
                 name = self.eat_ident("declaration name")
+                if name in scenario.decls:
+                    raise SemanticError(f"duplicate declaration {name!r}")
                 self.eat("PUNCT", "{")
                 scenario.decls[name] = self.parse_decl_block()
                 self.eat("PUNCT", "}")

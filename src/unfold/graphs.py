@@ -1,26 +1,37 @@
-"""Finite directed graphs as a logical model, with checked iteration.
+r"""Finite directed graphs as a logical model, with checked iteration.
 
 A graph is a finite vertex set ``dom`` plus a total successor map ``suc``
 that is empty outside ``dom`` and closed inside it. All operations are
 value-semantic: builders return new graphs.
 
 The derived operations (union, intersect, complement, mirror, copy_vertices,
-check_path) are deliberately implemented as checked folds/iterations whose
-step invariants are term-language lambdas, so every intermediate state is
-validated while the operation runs. Each operation needing edge insertion
-first completes the result's vertex set with a plain fold (add_edge requires
-both endpoints present), then runs the nested edge-completing fold.
+check_path) are deliberately implemented as checked folds/iterations, so
+every intermediate state is validated while the operation runs. Their step
+invariants are written in the annotation language and parsed once, at
+import; ``UNION_INNER``, the inner level of union's edge completion, reads::
+
+    (fun g1 g2 src visited' acc' visited acc ->
+           acc'.dom = union g1.dom g2.dom
+        /\ (forall u. mem u (diff acc'.dom (setof visited)) ->
+              acc'.suc u = g2.suc u)
+        /\ (forall u. mem u visited -> not u = src ->
+              acc'.suc u = union (g1.suc u) (g2.suc u))
+        /\ acc'.suc src = union (setof visited') (g2.suc src))
+
+Each operation needing edge insertion first completes the result's vertex
+set with a plain fold (add_edge requires both endpoints present), then runs
+the nested edge-completing fold.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from . import terms as T
-from .containers import set_cursor
+from .containers import seq_cursor, set_cursor
+from .dsl.parser import parse_term_text
 from .engine import EMPTY_CONTEXT, ClientContract, checked_fold, checked_iter
 from .errors import PreconditionError
-from .terms import Closure, apply_lambda
+from .terms import Closure, apply_lambda, eval_term
 from .values import CellRef, EMPTY_SET, FiniteSet, Value, value_key
 
 
@@ -136,13 +147,13 @@ _TRUE_INV = lambda *args: True
 
 
 def fold_vertex(consumer: Callable[[Value, Value], Value], g: GraphModel,
-                init: Value, *, inv=None, convergence=None, ctx=None) -> Value:
+                init: Value, *, inv=None, ctx=None) -> Value:
     """Checked fold over the graph's vertices (as a set cursor over dom)."""
     return checked_fold(
         consumer, init, set_cursor(g.dom),
         ClientContract(
             inv=inv if inv is not None else _TRUE_INV,
-            convergence=convergence if convergence is not None else _remaining_vertices,
+            convergence=_remaining_vertices,
             collection=g,
         ),
         ctx=ctx,
@@ -150,8 +161,7 @@ def fold_vertex(consumer: Callable[[Value, Value], Value], g: GraphModel,
 
 
 def fold_succ(consumer: Callable[[Value, Value], Value], init: Value,
-              g: GraphModel, s: Value, *, inv=None, convergence=None,
-              ctx=None) -> Value:
+              g: GraphModel, s: Value, *, inv=None, ctx=None) -> Value:
     """Checked fold over the successors of ``s`` in ``g``; the collection
     being iterated is the pair (g, s)."""
     if s not in g.dom:
@@ -160,198 +170,102 @@ def fold_succ(consumer: Callable[[Value, Value], Value], init: Value,
         consumer, init, set_cursor(g.suc(s)),
         ClientContract(
             inv=inv if inv is not None else _TRUE_INV,
-            convergence=convergence if convergence is not None else _remaining_successors,
+            convergence=_remaining_successors,
             collection=(g, s),
         ),
         ctx=ctx,
     )
 
 
-# -- step invariants, as term-language lambdas ---------------------------------
+# -- step invariants, in the annotation language -----------------------------
 #
 # Parameter convention matches the engine: per level the visited sequence
 # comes first, then the accumulator; enclosing levels follow, nearest first.
 # Leading graph/vertex parameters are fixed by partial application.
 
-def _dom(g: str) -> T.Term:
-    return T.Field(T.Var(g), "dom")
+def _spec(text: str) -> Closure:
+    return eval_term(parse_term_text(text), {})
 
-
-def _suc(g: str, u: T.Term) -> T.Term:
-    return T.App(T.Field(T.Var(g), "suc"), (u,))
-
-
-def _eq(a: T.Term, b: T.Term) -> T.Term:
-    return T.Cmp("=", a, b)
-
-
-def _and(*conjuncts: T.Term) -> T.Term:
-    out = conjuncts[0]
-    for c in conjuncts[1:]:
-        out = T.And(out, c)
-    return out
-
-
-_U = T.Var("u")
-_W = T.Var("w")
-_UNVISITED = lambda g: T.DiffOp(_dom(g), T.SetOf(T.Var("visited")))
 
 # vertex-completion pass of union: dom grows with the visited vertices,
 # successors still exactly those of g2
-UNION_VERTICES = T.lam(
-    "g1 g2 visited acc",
-    _and(
-        _eq(_dom("acc"), T.UnionOp(T.SetOf(T.Var("visited")), _dom("g2"))),
-        T.ForallMem("u", _dom("acc"), _eq(_suc("acc", _U), _suc("g2", _U))),
-    ),
-)
+UNION_VERTICES = _spec(r"""(fun g1 g2 visited acc ->
+       acc.dom = union (setof visited) g2.dom
+    /\ (forall u. mem u acc.dom -> acc.suc u = g2.suc u))""")
 
 # edge-completion pass of union, outer level
-UNION_OUTER = T.lam(
-    "g1 g2 visited acc",
-    _and(
-        _eq(_dom("acc"), T.UnionOp(_dom("g1"), _dom("g2"))),
-        T.ForallMem("u", T.Var("visited"),
-                    _eq(_suc("acc", _U),
-                        T.UnionOp(_suc("g1", _U), _suc("g2", _U)))),
-        T.ForallMem("u", _UNVISITED("acc"),
-                    _eq(_suc("acc", _U), _suc("g2", _U))),
-    ),
-)
+UNION_OUTER = _spec(r"""(fun g1 g2 visited acc ->
+       acc.dom = union g1.dom g2.dom
+    /\ (forall u. mem u visited -> acc.suc u = union (g1.suc u) (g2.suc u))
+    /\ (forall u. mem u (diff acc.dom (setof visited)) ->
+          acc.suc u = g2.suc u))""")
 
 # edge-completion pass of union, inner level: the current source vertex
 # accumulates its successors one by one
-UNION_INNER = T.lam(
-    "g1 g2 src visited' acc' visited acc",
-    _and(
-        _eq(_dom("acc'"), T.UnionOp(_dom("g1"), _dom("g2"))),
-        T.ForallMem("u", _UNVISITED("acc'"),
-                    _eq(_suc("acc'", _U), _suc("g2", _U))),
-        T.ForallMem("u", T.Var("visited"),
-                    T.Implies(T.Not(_eq(_U, T.Var("src"))),
-                              _eq(_suc("acc'", _U),
-                                  T.UnionOp(_suc("g1", _U), _suc("g2", _U))))),
-        _eq(_suc("acc'", T.Var("src")),
-            T.UnionOp(T.SetOf(T.Var("visited'")), _suc("g2", T.Var("src")))),
-    ),
-)
+UNION_INNER = _spec(r"""(fun g1 g2 src visited' acc' visited acc ->
+       acc'.dom = union g1.dom g2.dom
+    /\ (forall u. mem u (diff acc'.dom (setof visited)) ->
+          acc'.suc u = g2.suc u)
+    /\ (forall u. mem u visited -> not u = src ->
+          acc'.suc u = union (g1.suc u) (g2.suc u))
+    /\ acc'.suc src = union (setof visited') (g2.suc src))""")
 
-INTERSECT_VERTICES = T.lam(
-    "g1 g2 visited acc",
-    _and(
-        _eq(_dom("acc"), T.InterOp(T.SetOf(T.Var("visited")), _dom("g2"))),
-        T.ForallMem("u", _dom("acc"), _eq(_suc("acc", _U), T.EmptySetLit())),
-    ),
-)
+INTERSECT_VERTICES = _spec(r"""(fun g1 g2 visited acc ->
+       acc.dom = inter (setof visited) g2.dom
+    /\ (forall u. mem u acc.dom -> acc.suc u = emptyset))""")
 
-INTERSECT_OUTER = T.lam(
-    "g1 g2 visited acc",
-    _and(
-        _eq(_dom("acc"), T.InterOp(_dom("g1"), _dom("g2"))),
-        T.ForallMem("u", T.InterOp(T.SetOf(T.Var("visited")), _dom("acc")),
-                    _eq(_suc("acc", _U),
-                        T.InterOp(_suc("g1", _U), _suc("g2", _U)))),
-        T.ForallMem("u", _UNVISITED("acc"),
-                    _eq(_suc("acc", _U), T.EmptySetLit())),
-    ),
-)
+INTERSECT_OUTER = _spec(r"""(fun g1 g2 visited acc ->
+       acc.dom = inter g1.dom g2.dom
+    /\ (forall u. mem u (inter (setof visited) acc.dom) ->
+          acc.suc u = inter (g1.suc u) (g2.suc u))
+    /\ (forall u. mem u (diff acc.dom (setof visited)) ->
+          acc.suc u = emptyset))""")
 
-INTERSECT_INNER = T.lam(
-    "g1 g2 src visited' acc' visited acc",
-    _and(
-        _eq(_dom("acc'"), T.InterOp(_dom("g1"), _dom("g2"))),
-        _eq(_suc("acc'", T.Var("src")),
-            T.InterOp(T.SetOf(T.Var("visited'")), _suc("g2", T.Var("src")))),
-        T.ForallMem("u", T.InterOp(T.SetOf(T.Var("visited")), _dom("acc'")),
-                    T.Implies(T.Not(_eq(_U, T.Var("src"))),
-                              _eq(_suc("acc'", _U),
-                                  T.InterOp(_suc("g1", _U), _suc("g2", _U))))),
-        T.ForallMem("u", _UNVISITED("acc'"),
-                    _eq(_suc("acc'", _U), T.EmptySetLit())),
-    ),
-)
+INTERSECT_INNER = _spec(r"""(fun g1 g2 src visited' acc' visited acc ->
+       acc'.dom = inter g1.dom g2.dom
+    /\ acc'.suc src = inter (setof visited') (g2.suc src)
+    /\ (forall u. mem u (inter (setof visited) acc'.dom) -> not u = src ->
+          acc'.suc u = inter (g1.suc u) (g2.suc u))
+    /\ (forall u. mem u (diff acc'.dom (setof visited)) ->
+          acc'.suc u = emptyset))""")
 
 # building an edgeless copy of the vertex set (used standalone by
 # copy_vertices and as the seeding pass of complement and mirror)
-VERTEX_COPY = T.lam(
-    "visited acc",
-    _and(
-        _eq(_dom("acc"), T.SetOf(T.Var("visited"))),
-        T.ForallMem("u", _dom("acc"), _eq(_suc("acc", _U), T.EmptySetLit())),
-    ),
-)
+VERTEX_COPY = _spec(r"""(fun visited acc ->
+       acc.dom = setof visited
+    /\ (forall u. mem u acc.dom -> acc.suc u = emptyset))""")
 
-COMPLEMENT_OUTER = T.lam(
-    "g visited acc",
-    _and(
-        _eq(_dom("acc"), _dom("g")),
-        T.ForallMem("u", T.Var("visited"),
-                    _eq(_suc("acc", _U), T.DiffOp(_dom("g"), _suc("g", _U)))),
-        T.ForallMem("u", _UNVISITED("g"),
-                    _eq(_suc("acc", _U), T.EmptySetLit())),
-    ),
-)
+COMPLEMENT_OUTER = _spec(r"""(fun g visited acc ->
+       acc.dom = g.dom
+    /\ (forall u. mem u visited -> acc.suc u = diff g.dom (g.suc u))
+    /\ (forall u. mem u (diff g.dom (setof visited)) ->
+          acc.suc u = emptyset))""")
 
-COMPLEMENT_INNER = T.lam(
-    "g src visited' acc' visited acc",
-    _and(
-        _eq(_dom("acc'"), _dom("g")),
-        _eq(_suc("acc'", T.Var("src")),
-            T.DiffOp(T.SetOf(T.Var("visited'")), _suc("g", T.Var("src")))),
-        T.ForallMem("u", T.Var("visited"),
-                    T.Implies(T.Not(_eq(_U, T.Var("src"))),
-                              _eq(_suc("acc'", _U),
-                                  T.DiffOp(_dom("g"), _suc("g", _U))))),
-        T.ForallMem("u", _UNVISITED("g"),
-                    _eq(_suc("acc'", _U), T.EmptySetLit())),
-    ),
-)
+COMPLEMENT_INNER = _spec(r"""(fun g src visited' acc' visited acc ->
+       acc'.dom = g.dom
+    /\ acc'.suc src = diff (setof visited') (g.suc src)
+    /\ (forall u. mem u visited -> not u = src ->
+          acc'.suc u = diff g.dom (g.suc u))
+    /\ (forall u. mem u (diff g.dom (setof visited)) ->
+          acc'.suc u = emptyset))""")
 
-MIRROR_OUTER = T.lam(
-    "g visited acc",
-    _and(
-        _eq(_dom("acc"), _dom("g")),
-        T.ForallMem(
-            "u", _dom("g"),
-            T.ForallMem(
-                "w", _dom("g"),
-                _eq(T.Mem(_W, _suc("acc", _U)),
-                    T.And(T.Mem(_W, T.SetOf(T.Var("visited"))),
-                          T.Mem(_U, _suc("g", _W)))))),
-    ),
-)
+MIRROR_OUTER = _spec(r"""(fun g visited acc ->
+       acc.dom = g.dom
+    /\ (forall u. mem u g.dom -> forall w. mem w g.dom ->
+          mem w (acc.suc u) = (mem w (setof visited) /\ mem u (g.suc w))))""")
 
-MIRROR_INNER = T.lam(
-    "g src visited' acc' visited acc",
-    _and(
-        _eq(_dom("acc'"), _dom("g")),
-        T.ForallMem(
-            "u", _dom("g"),
-            T.ForallMem(
-                "w", _dom("g"),
-                _eq(T.Mem(_W, _suc("acc'", _U)),
-                    T.Or(
-                        _and(T.Mem(_W, T.SetOf(T.Var("visited"))),
-                             T.Not(_eq(_W, T.Var("src"))),
-                             T.Mem(_U, _suc("g", _W))),
-                        T.And(_eq(_W, T.Var("src")),
-                              T.Mem(_U, T.SetOf(T.Var("visited'")))))))),
-    ),
-)
+MIRROR_INNER = _spec(r"""(fun g src visited' acc' visited acc ->
+       acc'.dom = g.dom
+    /\ (forall u. mem u g.dom -> forall w. mem w g.dom ->
+          mem w (acc'.suc u)
+          = (mem w (setof visited) /\ not w = src /\ mem u (g.suc w)
+             \/ w = src /\ mem u (setof visited'))))""")
 
 # flag mirrors whether the visited prefix is a valid path in g
-CHECK_PATH_INV = T.lam(
-    "g flag visited",
-    _eq(T.Var("flag"),
-        T.And(
-            T.ForallRange("i", T.IntLit(0), T.Len(T.Var("visited")),
-                          T.Mem(T.Index(T.Var("visited"), T.Var("i")), _dom("g"))),
-            T.ForallRange(
-                "i", T.IntLit(1), T.Len(T.Var("visited")),
-                T.Mem(T.Index(T.Var("visited"), T.Var("i")),
-                      _suc("g", T.Index(T.Var("visited"),
-                                        T.Arith("-", T.Var("i"), T.IntLit(1)))))))),
-)
+CHECK_PATH_INV = _spec(r"""(fun g flag visited ->
+    flag = ((forall i. 0 <= i < len visited -> mem visited[i] g.dom)
+            /\ (forall i. 1 <= i < len visited ->
+                  mem visited[i] (g.suc visited[i - 1]))))""")
 
 #: named step predicates, exposed to scenario environments
 GRAPH_PREDICATES = {
@@ -487,8 +401,6 @@ def mirror(g: GraphModel) -> GraphModel:
 def check_path(g: GraphModel, path: tuple) -> bool:
     """True iff every element of ``path`` is a vertex and every consecutive
     pair is an edge. Empty and singleton-vertex paths are valid."""
-    from .containers import seq_cursor  # local import, no cycle at module load
-
     path = tuple(path)
     flag = CellRef(True)
     checked_iter(

@@ -632,7 +632,7 @@ def _closed(v: Value) -> bool:
         elif hasattr(type(v), "_value_key_"):
             try:
                 v._value_key_()
-            except TypeError:
+            except EvaluationError:
                 return False
         else:
             return False

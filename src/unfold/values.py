@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
+from .errors import EvaluationError
+
 Value = Any
 
 
@@ -28,7 +30,8 @@ def value_key(v: Value) -> tuple:
     key = getattr(v, "_value_key_", None)
     if key is not None:
         return key()
-    raise TypeError(f"value of type {type(v).__name__} has no structural order")
+    raise EvaluationError(
+        f"value of type {type(v).__name__} has no structural order")
 
 
 def value_eq(a: Value, b: Value) -> bool:
@@ -36,7 +39,7 @@ def value_eq(a: Value, b: Value) -> bool:
     compare unequal rather than raising)."""
     try:
         return value_key(a) == value_key(b)
-    except TypeError:
+    except EvaluationError:
         return a is b
 
 

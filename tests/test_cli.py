@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from unfold.cli import main
+
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -77,6 +79,40 @@ class TestCheck:
         assert proc.returncode == 2
         assert "nesting deeper than" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_duplicate_declaration_exits_two(self, tmp_path, capsys):
+        second = r"""
+decl fold_seq {
+  r = fold func acc col
+  folds ~permitted:(fun v -> false)
+        ~complete:(fun v -> len v = len collection)
+  with structure = ('b seq), elt = 'b, accumulator = acc
+}
+"""
+        path = tmp_path / "dup_decl.scn"
+        path.write_text(PASSING_SCENARIO.replace("\ncall ", second + "\ncall ", 1),
+                        encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert "duplicate declaration 'fold_seq'" in capsys.readouterr().err
+
+    def test_duplicate_collection_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "dup_collection.scn"
+        path.write_text(PASSING_SCENARIO.replace(
+            "collection s = [1, 2, 3]\n",
+            "collection s = [1, 2, 3]\ncollection s = [4]\n"), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert "duplicate collection 's'" in capsys.readouterr().err
+
+    def test_value_outside_the_domain_is_an_error_row(self, tmp_path, capsys):
+        path = tmp_path / "closure_in_set.scn"
+        path.write_text(PASSING_SCENARIO.replace(
+            "a = sum (fun i -> v[i]) 0 (len v)",
+            "len (setof [(fun x -> x)]) = 1"), encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "sum_seq" in out and " error " in out
+        assert ("EvaluationError: invariant at step 0: value of type Closure "
+                "has no structural order") in out
 
     def test_missing_file_exits_two(self):
         proc = unfold("check", "no-suchimagined-file.scn")

@@ -171,6 +171,19 @@ class TestParseFiles:
               consumer = add; init = 0; }
             """)
 
+    def test_scenario_rejects_duplicate_declaration(self):
+        decl = """
+            decl d { r = fold func acc col
+              folds ~permitted:(fun v -> true) ~complete:(fun v -> true)
+              with structure = ('b seq), elt = 'b, accumulator = acc }
+            """
+        with pytest.raises(SemanticError, match="duplicate declaration 'd'"):
+            parse_scenario(decl + decl)
+
+    def test_scenario_rejects_duplicate_collection(self):
+        with pytest.raises(SemanticError, match="duplicate collection 's'"):
+            parse_scenario("collection s = [1]\ncollection s = [2]\n")
+
 
 class TestNestingLimit:
     def test_deep_parentheses_are_a_parse_error_at_the_deep_token(self):

@@ -42,7 +42,7 @@ from unfold.terms import (
     VarPat,
     lam,
 )
-from unfold.values import CellRef, StackRef, deref, value_key
+from unfold.values import CellRef, StackRef, deref, value_eq, value_key
 
 from helpers import is_prefix
 
@@ -189,6 +189,15 @@ class TestSetOps:
         stack, cell, plain = Stack(), Cell(4), (1, 2)
         assert deref(stack) == ("top",) and deref(cell) == 4
         assert deref(plain) is plain and deref(True) is True
+
+    def test_value_outside_the_domain_is_an_evaluation_error(self):
+        f = eval_term(Lambda((VarPat("x"),), V("x")), {})
+        with pytest.raises(EvaluationError, match="no structural order"):
+            value_key(f)
+        with pytest.raises(EvaluationError, match="no structural order"):
+            eval_term(SetOf(V("fs")), {"fs": (f,)})
+        # equality keeps its identity fallback outside the domain
+        assert value_eq(f, f) and not value_eq(f, 1)
 
 
 class TestLambdas:

@@ -7,7 +7,7 @@ parser accepts; the desugarer and reports build on the same term renderer.
 from __future__ import annotations
 
 from .. import terms as T
-from ..values import CellRef, FiniteSet, QueueRef, StackRef
+from ..values import CellRef, FiniteSet, QueueRef, StackRef, is_seq
 from .parser import CallSpec, DeclSpec, TApp, TName, TTuple, TVar, TypeExpr
 
 # precedence levels: higher binds tighter
@@ -172,7 +172,7 @@ def render_value(v) -> str:
         return str(v)
     if v is None:
         return "()"
-    if isinstance(v, tuple):
+    if is_seq(v):
         return "[" + ", ".join(render_value(x) for x in v) + "]"
     if isinstance(v, FiniteSet):
         return "{" + ", ".join(render_value(x) for x in v) + "}"

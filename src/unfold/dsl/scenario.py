@@ -26,7 +26,7 @@ from ..errors import (
 )
 from ..graphs import GRAPH_PREDICATES, GraphModel
 from ..terms import Closure, eval_term
-from ..values import FiniteSet, Value, value_eq
+from ..values import FiniteSet, Value, is_seq, value_eq
 from .builtins import BUILTINS, BoundConsumer, bind_lambda_consumer
 from .parser import DeclSpec, Invocation, Scenario, TApp, TName, TTuple
 from .render import render_term, render_value
@@ -103,7 +103,7 @@ class Report:
 def value_to_json(v):
     if isinstance(v, bool) or isinstance(v, int) or v is None:
         return v
-    if isinstance(v, tuple):
+    if is_seq(v):
         return [value_to_json(x) for x in v]
     if isinstance(v, FiniteSet):
         return {"set": [value_to_json(x) for x in v]}
@@ -137,7 +137,7 @@ def _producer_elements(decl: DeclSpec, collval: Value,
         return tuple(elems)
 
     if isinstance(structure, TApp) and structure.base == "seq":
-        if not isinstance(collval, tuple):
+        if not is_seq(collval):
             raise SemanticError(
                 f"declaration {decl.name!r} iterates a sequence but the "
                 f"collection is {collval!r}")
@@ -149,7 +149,7 @@ def _producer_elements(decl: DeclSpec, collval: Value,
                 f"collection is {collval!r}")
         return maybe_shuffled(collval.dom.elems)
     if isinstance(structure, TTuple):
-        if not (isinstance(collval, tuple) and len(collval) == 2
+        if not (is_seq(collval) and len(collval) == 2
                 and isinstance(collval[0], GraphModel)):
             raise SemanticError(
                 f"declaration {decl.name!r} iterates successors but the "

@@ -12,6 +12,13 @@ every enclosing iteration, nearest level first, appended after whatever
 arguments the client partially applied. Nesting context propagates
 automatically to iterations started inside a consumer; it can also be
 passed explicitly.
+
+Bookkeeping costs O(1) per step: the visited sequence and the output of a
+map or filter are views of append-only logs (see
+:class:`~unfold.values.SeqView`), handed to every reader without a copy;
+the output becomes a tuple once, when the call returns. Each loop counts its
+invariant and convergence checks itself and adds them to the current
+:class:`CheckStats` once, when it ends or fails.
 """
 
 from __future__ import annotations
@@ -25,19 +32,23 @@ from .errors import ContractViolation, EvaluationError, ViolationKind
 from .stats import CURRENT as _STATS
 from .stats import CheckStats, collect_stats  # part of this module's API
 from .terms import Closure, apply_lambda
-from .values import Value
+from .values import SeqView, Value, bounded_repr
 
 NO_ACC = object()  # marks an iter-level frame, which carries no accumulator
 
 SpecFn = Union[Closure, Callable[..., Value]]
 
 
-@dataclass(frozen=True)
 class Frame:
-    """Snapshot of one enclosing iteration level."""
+    """Snapshot of one enclosing iteration level: its visited sequence (the
+    cursor's view of that step, shared, not copied) and its accumulator,
+    NO_ACC for an iter level. Frames compare by value."""
 
-    visited: tuple
-    acc: Value = NO_ACC
+    __slots__ = ("visited", "acc")
+
+    def __init__(self, visited: tuple, acc: Value = NO_ACC):
+        self.visited = visited
+        self.acc = acc
 
     @property
     def has_acc(self) -> bool:
@@ -46,12 +57,26 @@ class Frame:
     def args(self) -> tuple:
         return (self.visited, self.acc) if self.has_acc else (self.visited,)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return (self.visited, self.acc) == (other.visited, other.acc)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((self.visited, self.acc))
+
+    def __repr__(self) -> str:
+        return f"Frame(visited={self.visited!r}, acc={self.acc!r})"
+
+
 class InvariantContext:
-    """Stack of frames from enclosing checked iterations, innermost last."""
+    """Stack of frames from enclosing checked iterations, innermost last.
+    Contexts compare by value."""
 
-    frames: tuple[Frame, ...] = ()
+    __slots__ = ("frames",)
+
+    def __init__(self, frames: tuple = ()):
+        self.frames = frames
 
     @property
     def depth(self) -> int:
@@ -64,13 +89,25 @@ class InvariantContext:
             out.extend(frame.args())
         return out
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InvariantContext):
+            return NotImplemented
+        return self.frames == other.frames
+
+    def __hash__(self) -> int:
+        return hash(self.frames)
+
+    def __repr__(self) -> str:
+        return f"InvariantContext(frames={self.frames!r})"
+
 
 EMPTY_CONTEXT = InvariantContext()
 
 
 def push_frame(ctx: InvariantContext, acc: Value, visited: tuple) -> InvariantContext:
-    """Return ``ctx`` extended with one frame; pass NO_ACC for iter levels."""
-    return InvariantContext(ctx.frames + (Frame(tuple(visited), acc),))
+    """Return ``ctx`` extended with one frame; pass NO_ACC for iter levels.
+    The frame shares ``visited``."""
+    return InvariantContext(ctx.frames + (Frame(visited, acc),))
 
 
 def pop_frame(ctx: InvariantContext) -> InvariantContext:
@@ -122,7 +159,15 @@ def _apply_spec(f: SpecFn, args: list, what: str) -> Value:
 
 class _Loop:
     """Shared engine loop; the four public entry points differ only in how
-    the consumer transforms the accumulator."""
+    the consumer transforms the accumulator.
+
+    The loop counts its own checks and adds the counts to the stats that are
+    current when it starts, once, when it ends or fails; whether to trace
+    each check is decided then too. Checks are traced as they run, so the
+    trace keeps the order of nested loops' checks."""
+
+    __slots__ = ("cursor", "contract", "ctx", "has_acc", "outer_args",
+                 "trace", "inv_checks", "variant_checks")
 
     def __init__(self, cursor: Cursor, contract: ClientContract,
                  ctx: Optional[InvariantContext], has_acc: bool):
@@ -131,69 +176,85 @@ class _Loop:
         self.ctx = ctx if ctx is not None else _AMBIENT.context
         self.has_acc = has_acc
         self.outer_args = self.ctx.appended_args()
+        self.trace = None
+        self.inv_checks = self.variant_checks = 0
 
     def _check_inv(self, visited: tuple, acc: Value, kind: ViolationKind) -> None:
-        own = (visited, acc) if self.has_acc else (visited,)
-        args = list(own) + self.outer_args
-        step = len(visited)
+        if self.has_acc:
+            args = [visited, acc, *self.outer_args]
+        else:
+            args = [visited, *self.outer_args]
         try:
             result = _apply_spec(self.contract.inv, args, "invariant")
         except EvaluationError as exc:
-            raise EvaluationError(f"invariant at step {step}: {exc}") from exc
-        _STATS.stats.record("inv", step, self.contract.inv_label)
-        if not isinstance(result, bool):
-            raise EvaluationError(
-                f"invariant at step {step}: returned non-boolean {result!r}")
-        if not result:
+            raise EvaluationError(f"invariant at step {len(visited)}: {exc}") from exc
+        self.inv_checks += 1
+        if self.trace is not None:
+            self.trace.append(("inv", len(visited), self.contract.inv_label))
+        if result is not True:
+            step = len(visited)
+            if result is not False:
+                raise EvaluationError(
+                    f"invariant at step {step}: returned non-boolean {result!r}")
             raise ContractViolation(
-                kind, step,
-                f"invariant failed on visited={visited!r}, acc={acc!r}",
+                kind, step, f"invariant failed on visited={bounded_repr(visited)}, "
+                            f"acc={bounded_repr(acc)}",
             )
 
     def _measure(self, visited: tuple) -> int:
-        step = len(visited)
         try:
             m = _apply_spec(self.contract.convergence,
                             [self.contract.collection, visited], "convergence")
         except EvaluationError as exc:
-            raise EvaluationError(f"convergence at step {step}: {exc}") from exc
-        _STATS.stats.record("variant", step, self.contract.convergence_label)
-        if isinstance(m, bool) or not isinstance(m, int):
+            raise EvaluationError(f"convergence at step {len(visited)}: {exc}") from exc
+        self.variant_checks += 1
+        if self.trace is not None:
+            self.trace.append(("variant", len(visited), self.contract.convergence_label))
+        if type(m) is not int and (isinstance(m, bool) or not isinstance(m, int)):
             raise EvaluationError(
-                f"convergence at step {step}: returned non-integer {m!r}")
+                f"convergence at step {len(visited)}: returned non-integer {m!r}")
         return m
 
     def run(self, step_fn: Callable, init: Value) -> Value:
+        cursor, ctx, has_acc = self.cursor, self.ctx, self.has_acc
+        stats = _STATS.stats
+        self.trace = stats.trace
         acc = init
-        self._check_inv(self.cursor.visited, acc,
-                        ViolationKind.INVARIANT_VIOLATED_INITIALLY)
-        while self.cursor.has_next():
-            before = self.cursor.visited
-            m0 = self._measure(before)
-            if m0 < 0:
-                raise ContractViolation(
-                    ViolationKind.CONVERGENCE_NEGATIVE, len(before),
-                    f"measure {m0} < 0 on visited={before!r}, acc={acc!r}",
-                )
-            x = self.cursor.next()
-            now = self.cursor.visited
-            inner_ctx = push_frame(self.ctx, acc if self.has_acc else NO_ACC, now)
-            saved = _AMBIENT.context
-            _AMBIENT.context = inner_ctx
-            try:
-                acc = step_fn(acc, x)
-            finally:
-                _AMBIENT.context = saved
-            self._check_inv(now, acc, ViolationKind.INVARIANT_VIOLATED)
-            m1 = self._measure(now)
-            if not m1 < m0:
-                raise ContractViolation(
-                    ViolationKind.CONVERGENCE_NOT_DECREASING, len(now),
-                    f"measure did not decrease: {m0} -> {m1} on "
-                    f"visited={now!r}, acc={acc!r}",
-                )
+        try:
+            visited = cursor.visited
+            self._check_inv(visited, acc, ViolationKind.INVARIANT_VIOLATED_INITIALLY)
+            while cursor.has_next():
+                if cursor._visited is not visited:  # the consumer moved the cursor
+                    visited = cursor.visited
+                m0 = self._measure(visited)
+                if m0 < 0:
+                    raise ContractViolation(
+                        ViolationKind.CONVERGENCE_NEGATIVE, len(visited),
+                        f"measure {m0} < 0 on visited={bounded_repr(visited)}, "
+                        f"acc={bounded_repr(acc)}",
+                    )
+                x = cursor.next()
+                visited = cursor.visited
+                inner_ctx = push_frame(ctx, acc if has_acc else NO_ACC, visited)
+                saved = _AMBIENT.context
+                _AMBIENT.context = inner_ctx
+                try:
+                    acc = step_fn(acc, x)
+                finally:
+                    _AMBIENT.context = saved
+                self._check_inv(visited, acc, ViolationKind.INVARIANT_VIOLATED)
+                m1 = self._measure(visited)
+                if not m1 < m0:
+                    raise ContractViolation(
+                        ViolationKind.CONVERGENCE_NOT_DECREASING, len(visited),
+                        f"measure did not decrease: {m0} -> {m1} on "
+                        f"visited={bounded_repr(visited)}, acc={bounded_repr(acc)}",
+                    )
+        finally:
+            stats.inv_checks += self.inv_checks
+            stats.variant_checks += self.variant_checks
         # loop exit is only reachable with the exhaustion contract satisfied
-        assert self.cursor._complete_checked
+        assert cursor._complete_checked
         return acc
 
 
@@ -202,8 +263,7 @@ def checked_fold(consumer: Callable[[Value, Value], Value], init: Value,
                  ctx: Optional[InvariantContext] = None) -> Value:
     """Fold the cursor's elements through ``consumer``, checking the contract
     at every step. Consumer exceptions propagate unchanged."""
-    loop = _Loop(cursor, contract, ctx, has_acc=True)
-    return loop.run(lambda acc, x: consumer(acc, x), init)
+    return _Loop(cursor, contract, ctx, has_acc=True).run(consumer, init)
 
 
 def checked_iter(consumer: Callable[[Value], None], cursor: Cursor,
@@ -219,15 +279,29 @@ def checked_map(f: Callable[[Value], Value], cursor: Cursor,
                 contract: ClientContract,
                 ctx: Optional[InvariantContext] = None) -> tuple:
     """Fold building the elementwise image of the input; returns a sequence
-    of the same length."""
-    loop = _Loop(cursor, contract, ctx, has_acc=True)
-    return loop.run(lambda out, x: out + (f(x),), ())
+    of the same length, as a tuple. During the loop the accumulator is a
+    view of the output built so far."""
+    out: list = []
+
+    def step(_acc, x):
+        out.append(f(x))
+        return SeqView(out, len(out))
+    _Loop(cursor, contract, ctx, has_acc=True).run(step, SeqView(out, 0))
+    return tuple(out)
 
 
 def checked_filter(p: Callable[[Value], bool], cursor: Cursor,
                    contract: ClientContract,
                    ctx: Optional[InvariantContext] = None) -> tuple:
     """Fold keeping the elements satisfying ``p``; returns an order-preserving
-    subsequence of the input."""
-    loop = _Loop(cursor, contract, ctx, has_acc=True)
-    return loop.run(lambda out, x: out + (x,) if p(x) else out, ())
+    subsequence of the input, as a tuple. During the loop the accumulator is
+    a view of the output built so far."""
+    out: list = []
+
+    def step(acc, x):
+        if p(x):
+            out.append(x)
+            return SeqView(out, len(out))
+        return acc
+    _Loop(cursor, contract, ctx, has_acc=True).run(step, SeqView(out, 0))
+    return tuple(out)

@@ -1,9 +1,11 @@
 """Counts of contract evaluations, collected per thread.
 
-The engines count invariant and convergence checks and the cursor counts
-permitted and complete checks, each into the stats of the innermost
-:func:`collect_stats` block on the calling thread. This module imports no
-other, so both layers can import it.
+The cursor counts permitted and complete checks as they run, and each
+engine loop counts its invariant and convergence checks in its own
+counters and adds them once, when the loop ends or fails; both go to the
+stats of the innermost :func:`collect_stats` block on the calling thread.
+The trace of invariant and convergence checks is appended to as each check
+runs. This module imports no other, so both layers can import it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckStats:
     """Counts of contract evaluations, plus an optional trace of the
     invariant and convergence checks."""
@@ -24,14 +26,6 @@ class CheckStats:
     permitted_checks: int = 0
     complete_checks: int = 0
     trace: Optional[list] = None
-
-    def record(self, kind: str, step: int, label: str) -> None:
-        if kind == "inv":
-            self.inv_checks += 1
-        else:
-            self.variant_checks += 1
-        if self.trace is not None:
-            self.trace.append((kind, step, label))
 
 
 class _Current(threading.local):

@@ -39,8 +39,10 @@ leading bindings are known to hold (for ``sum``, the running total up to
 there). The next evaluation skips those bindings when its lower bound is
 the same and each name's value is such that the bindings cannot have
 changed: a *grow* name, one the body reads only as ``X[e]`` and never
-rebinds (``X`` must be one), is a tuple extending the remembered one
-element by element, by identity; every other name holds the identical
+rebinds (``X`` must be one), holds the identical value or a view of the
+same append-only log (a :class:`~unfold.values.SeqView`, as a cursor's
+visited sequence is) no shorter than the remembered one, a test that costs
+O(1) however long the prefix; every other name holds the identical
 object. Every value read must be closed all the way down: integers,
 booleans, unit, strings, and tuples and values with a structural key that
 hold no mutable reference or function anywhere inside, since a binder in
@@ -53,9 +55,10 @@ and resuming is exact. Any other evaluation runs in full from ``lo`` and
 re-seeds the memo. The memo counts only the bindings before the first false
 or raising one, which is evaluated again next time, so a failure is
 reported at the same binding with the same message. It is one tuple,
-replaced whole, and it keeps the values its last evaluation read (a whole
-visited tuple, a graph) alive for as long as the node lives: one state per
-node, so the memory held is bounded but not released when the loop ends.
+replaced whole, and it keeps the values its last evaluation read (a visited
+view and with it the whole log, a graph) alive for as long as the node
+lives: one state per node, so the memory held is bounded but not released
+when the loop ends.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from functools import partial
 from typing import Callable, Mapping, Union
 
 from .errors import EvaluationError
-from .values import EMPTY_SET, FiniteSet, Value, deref, value_eq
+from .values import EMPTY_SET, FiniteSet, SeqView, Value, deref, is_seq, value_eq
 
 
 class Term:
@@ -346,7 +349,7 @@ def _bind_pattern(env: dict, pat: Pattern, value: Value) -> None:
     if isinstance(pat, VarPat):
         env[pat.name] = value
         return
-    if not isinstance(value, tuple) or len(value) != len(pat.names):
+    if not is_seq(value) or len(value) != len(pat.names):
         raise EvaluationError(
             f"cannot destructure {value!r} into {len(pat.names)} names"
         )
@@ -402,7 +405,7 @@ def _as_bool(v: Value, what: str) -> bool:
 
 
 def _as_seq(v: Value, what: str) -> tuple:
-    if isinstance(v, tuple):
+    if is_seq(v):
         return v
     raise EvaluationError(f"{what} expected a sequence, got {v!r}")
 
@@ -411,7 +414,7 @@ def _as_set(v: Value, what: str) -> FiniteSet:
     """Set operators accept sequences by taking their set of elements."""
     if isinstance(v, FiniteSet):
         return v
-    if isinstance(v, tuple):
+    if is_seq(v):
         return FiniteSet(v)
     raise EvaluationError(f"{what} expected a set or sequence, got {v!r}")
 
@@ -610,11 +613,11 @@ def _prefix_names(var: str, body: Term, seq: str):
     return tuple(sorted(grow)), tuple(sorted(names - grow))
 
 
-def _extends(new: Value, old: tuple) -> bool:
-    """``new`` is ``old`` followed by more elements, the same objects, and
-    the added elements are closed (each is checked once, when added)."""
-    return new is old or (isinstance(new, tuple) and len(new) >= len(old)
-                          and all(map(operator.is_, old, new))
+def _extends(new: Value, old: Value) -> bool:
+    """``new`` is ``old``, or a view of the same append-only log no shorter
+    than ``old`` whose added elements are closed (each is checked once,
+    when added). O(1) in the length of ``old``."""
+    return new is old or (isinstance(new, SeqView) and new.extends(old)
                           and _closed(new[len(old):]))
 
 
@@ -627,7 +630,7 @@ def _closed(v: Value) -> bool:
         v = pending.pop()
         if v is None or isinstance(v, (int, str)):
             continue
-        if isinstance(v, tuple):
+        if is_seq(v):
             pending += v
         elif hasattr(type(v), "_value_key_"):
             try:
@@ -643,7 +646,11 @@ class _PrefixMemo:
     """How far one prefix form got. ``state`` is None or the tuple
     ``(grow values, fixed values, lo, held, total)``: with those values and
     that lower bound, the first ``held`` bindings hold (and sum to
-    ``total``). It is replaced whole, never updated in place."""
+    ``total``). It is replaced whole, never updated in place. A later
+    evaluation resumes from it in O(1) plus the closedness check of the
+    elements added since: each grow value is the remembered one or a longer
+    view of its log (see :func:`_extends`), each fixed value the identical
+    object."""
 
     __slots__ = ("grow", "fixed", "state")
 
@@ -661,7 +668,7 @@ class _PrefixMemo:
                 and all(map(_extends, grow, state[0]))
                 and all(map(operator.is_, fixed, state[1]))):
             return (grow, fixed), state[3], state[4]
-        if all(isinstance(v, tuple) for v in grow) and _closed((grow, fixed)):
+        if all(map(is_seq, grow)) and _closed((grow, fixed)):
             return (grow, fixed), 0, 0
         return None, 0, 0
 
@@ -825,7 +832,7 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
             a_ = sub(inner)
             def run(env):
                 v = a_(env)
-                if isinstance(v, (tuple, FiniteSet)):
+                if is_seq(v) or isinstance(v, FiniteSet):
                     return len(v)
                 raise EvaluationError(f"'len' expected a sequence or set, got {v!r}")
         case Index(seq, index):
@@ -876,7 +883,7 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
             x_, c_ = sub(elem), sub(coll)
             def run(env):
                 x, c = x_(env), c_(env)
-                if isinstance(c, tuple):
+                if is_seq(c):
                     return any(value_eq(x, e) for e in c)
                 if isinstance(c, FiniteSet):
                     return x in c
@@ -908,7 +915,7 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
             c_, forall = sub(coll), _quantifier(var, body, scopes)
             def run(env):
                 c = c_(env)
-                if not isinstance(c, (tuple, FiniteSet)):
+                if not (is_seq(c) or isinstance(c, FiniteSet)):
                     raise EvaluationError(
                         f"quantifier domain must be a set or sequence, got {c!r}"
                     )

@@ -1,7 +1,10 @@
 """Runtime values for the specification term language.
 
 Plain Python carriers are used wherever they fit: ``int`` (and ``bool``),
-``None`` for unit, ``tuple`` for both sequences and tuples. Finite sets get
+``None`` for unit, ``tuple`` for both sequences and tuples. A sequence that
+grows one element at a time (a cursor's visited sequence, the output of a
+checked map or filter) is a :class:`SeqView` of an append-only log instead,
+which behaves as the equal tuple; :func:`is_seq` accepts both. Finite sets get
 their own class so that enumeration order is canonical (structural order on
 values) and therefore reproducible across runs. Mutable reference cells
 (stacks, queues, plain cells) live here too; specification terms see their
@@ -10,11 +13,117 @@ logical contents, never the reference itself.
 
 from __future__ import annotations
 
+import operator
+from itertools import islice
 from typing import Any, Iterable, Iterator
 
 from .errors import EvaluationError
 
 Value = Any
+
+REPR_LIMIT = 200  # characters of one state's repr in a violation message
+
+
+class SeqView:
+    """The first ``n`` elements of an append-only list ``log``: an immutable
+    sequence value, read in O(1) however long it is.
+
+    The owner of ``log`` only ever appends to it, so a view never changes,
+    and views of one log taken at successive lengths share its elements
+    instead of copying them. A view behaves as the equal tuple for ``len``,
+    indexing (negative too), slicing (which returns a tuple), iteration,
+    ``in``, ``==``, ``hash``, ``repr`` and :func:`value_key`; for anything
+    else, such as ``+``, take :meth:`as_tuple`. ``==``, ``hash`` and
+    ``repr`` use the equal tuple, built once per view and kept. A view
+    keeps its whole log alive.
+    """
+
+    __slots__ = ("_log", "_n", "_tuple")
+
+    def __init__(self, log: list, n: int):
+        self._log = log
+        self._n = n
+        self._tuple = None
+
+    def extends(self, other: Value) -> bool:
+        """``other`` is a view of the same log, no longer than this one."""
+        return (isinstance(other, SeqView) and other._log is self._log
+                and other._n <= self._n)
+
+    def as_tuple(self) -> tuple:
+        """The equal tuple, built on first use and kept."""
+        t = self._tuple
+        if t is None:
+            t = self._tuple = tuple(islice(self._log, self._n))
+        return t
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[Value]:
+        return islice(self._log, self._n)
+
+    def __getitem__(self, i):
+        n = self._n
+        if type(i) is not int:
+            if isinstance(i, slice):
+                start, stop, step = i.indices(n)
+                if step > 0:
+                    return tuple(self._log[start:stop:step])
+                return self.as_tuple()[i]
+            try:
+                i = operator.index(i)
+            except TypeError:
+                raise TypeError("tuple indices must be integers or slices, "
+                                f"not {type(i).__name__}") from None
+        if i < 0:
+            i += n
+        if 0 <= i < n:
+            return self._log[i]
+        raise IndexError("tuple index out of range")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SeqView):
+            if other._log is self._log:
+                return other._n == self._n
+            other = other.as_tuple()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(other) == self._n and self.as_tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self.as_tuple())
+
+    def __repr__(self) -> str:
+        return repr(self.as_tuple())
+
+
+_SEQUENCES = (tuple, SeqView)
+
+
+def is_seq(v: Value) -> bool:
+    """Whether ``v`` is a sequence value: a tuple or a :class:`SeqView`."""
+    return isinstance(v, _SEQUENCES)
+
+
+def bounded_repr(v: Value, limit: int = REPR_LIMIT) -> str:
+    """``repr(v)`` when it has at most ``limit`` characters, else its first
+    ``limit`` characters and an elision marker. A view's repr is built one
+    element at a time and stops once past the limit, so a long view is
+    never turned into a tuple just to be printed."""
+    if isinstance(v, SeqView):
+        parts, size = [], 0  # size: length of the repr of parts, as a tuple
+        for x in v:
+            parts.append(repr(x))
+            size += len(parts[-1]) + 2
+            if size > limit:
+                break
+        text = "(" + ", ".join(parts) + ("," if len(v) == 1 else "") + ")"
+    else:
+        text = repr(v)
+    if len(text) <= limit:
+        return text
+    return text[:limit] + " ...[elided]"
 
 
 def value_key(v: Value) -> tuple:
@@ -25,7 +134,7 @@ def value_key(v: Value) -> tuple:
         return (0, int(v))
     if v is None:
         return (1,)
-    if isinstance(v, tuple):
+    if is_seq(v):
         return (2, len(v), tuple(value_key(x) for x in v))
     key = getattr(v, "_value_key_", None)
     if key is not None:
@@ -47,9 +156,12 @@ class FiniteSet:
     """Immutable finite set of values, stored in canonical structural order.
 
     Equality ignores construction order; iteration is always canonical.
+    Membership is a hash lookup in ``_index``, the dict from each key to its
+    element that construction builds anyway, kept instead of hashing the
+    keys a second time.
     """
 
-    __slots__ = ("_elems", "_keys")
+    __slots__ = ("_elems", "_keys", "_index")
 
     def __init__(self, iterable: Iterable[Value] = ()):
         seen = {}
@@ -57,6 +169,7 @@ class FiniteSet:
             seen.setdefault(value_key(v), v)
         keys = tuple(sorted(seen))
         self._keys = keys
+        self._index = seen
         self._elems = tuple(seen[k] for k in keys)
 
     @property
@@ -64,7 +177,7 @@ class FiniteSet:
         return self._elems
 
     def __contains__(self, v: Value) -> bool:
-        return value_key(v) in self._keys
+        return value_key(v) in self._index
 
     def __iter__(self) -> Iterator[Value]:
         return iter(self._elems)

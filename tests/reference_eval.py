@@ -4,9 +4,11 @@ that dispatches on the node type at every visit.
 It is the oracle of the differential tests in ``test_term_compiler.py``.
 Its evaluation order and error messages define the behaviour the compiled
 evaluator in :mod:`unfold.terms` must reproduce. It is the match-based
-interpreter that ``unfold.terms`` used before closure compilation, with one
-change: an unknown comparison operator raises ``EvaluationError`` rather
-than ``KeyError``. Closures it creates are ordinary
+interpreter that ``unfold.terms`` used before closure compilation, with two
+changes: an unknown comparison operator raises ``EvaluationError`` rather
+than ``KeyError``, and a sequence is any value :func:`unfold.values.is_seq`
+accepts, a tuple or a view of an append-only log (a cursor's visited
+sequence). Closures it creates are ordinary
 :class:`unfold.terms.Closure` values, applied here by :func:`apply_lambda`.
 """
 
@@ -23,14 +25,14 @@ from unfold.terms import (
     SumTerm, Term, TuplePat, TupleTerm, UnionOp, UnitLit, Var, VarPat,
     sum_range,
 )
-from unfold.values import EMPTY_SET, FiniteSet, Value, deref, value_eq
+from unfold.values import EMPTY_SET, FiniteSet, Value, deref, is_seq, value_eq
 
 
 def _bind_pattern(env: dict, pat: Pattern, value: Value) -> None:
     if isinstance(pat, VarPat):
         env[pat.name] = value
         return
-    if not isinstance(value, tuple) or len(value) != len(pat.names):
+    if not is_seq(value) or len(value) != len(pat.names):
         raise EvaluationError(
             f"cannot destructure {value!r} into {len(pat.names)} names"
         )
@@ -73,7 +75,7 @@ def _as_bool(v: Value, what: str) -> bool:
 
 
 def _as_seq(v: Value, what: str) -> tuple:
-    if isinstance(v, tuple):
+    if is_seq(v):
         return v
     raise EvaluationError(f"{what} expected a sequence, got {v!r}")
 
@@ -82,7 +84,7 @@ def _as_set(v: Value, what: str) -> FiniteSet:
     """Set operators accept sequences by taking their set of elements."""
     if isinstance(v, FiniteSet):
         return v
-    if isinstance(v, tuple):
+    if is_seq(v):
         return FiniteSet(v)
     raise EvaluationError(f"{what} expected a set or sequence, got {v!r}")
 
@@ -138,7 +140,7 @@ def eval_term(t: Term, env: Env) -> Value:
             return _as_bool(eval_term(right, env), "'->'")
         case Len(inner):
             v = eval_term(inner, env)
-            if isinstance(v, (tuple, FiniteSet)):
+            if is_seq(v) or isinstance(v, FiniteSet):
                 return len(v)
             raise EvaluationError(f"'len' expected a sequence or set, got {v!r}")
         case Index(seq, index):
@@ -178,7 +180,7 @@ def eval_term(t: Term, env: Env) -> Value:
         case Mem(elem, coll):
             x = eval_term(elem, env)
             c = eval_term(coll, env)
-            if isinstance(c, tuple):
+            if is_seq(c):
                 return any(value_eq(x, e) for e in c)
             if isinstance(c, FiniteSet):
                 return x in c
@@ -217,7 +219,7 @@ def eval_term(t: Term, env: Env) -> Value:
             return True
         case ForallMem(var, coll, body):
             c = eval_term(coll, env)
-            if not isinstance(c, (tuple, FiniteSet)):
+            if not (is_seq(c) or isinstance(c, FiniteSet)):
                 raise EvaluationError(
                     f"quantifier domain must be a set or sequence, got {c!r}"
                 )

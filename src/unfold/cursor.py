@@ -44,7 +44,7 @@ def _eval_predicate(pred: SeqPredicate, visited: SeqView, what: str,
 
 def _non_boolean(result: Value, what: str, visited: SeqView) -> EvaluationError:
     return EvaluationError(f"{what} predicate at step {len(visited)}: "
-                           f"returned non-boolean {result!r}")
+                           f"returned non-boolean {bounded_repr(result)}")
 
 
 class Cursor:

@@ -42,8 +42,7 @@ def render_term(t: T.Term, level: int = _QUANT) -> str:
         return _wrap(text, _APP, level)
     if kind in _BINARY_KW:
         a, b = _binary_fields(t)
-        text = (f"{_BINARY_KW[kind]} {render_term(a, _POSTFIX)} "
-                f"{render_term(b, _POSTFIX)}")
+        text = f"{_BINARY_KW[kind]} {render_term(a, _POSTFIX)} {_operand(b)}"
         return _wrap(text, _APP, level)
     match t:
         case T.Var(name):
@@ -100,23 +99,27 @@ def render_term(t: T.Term, level: int = _QUANT) -> str:
                     f"{render_term(hi, _ADD)} -> {render_term(body)}")
             return _wrap(text, _QUANT, level)
         case T.ForallMem(var, coll, body):
-            text = (f"forall {var}. mem {var} {render_term(coll, _POSTFIX)} "
-                    f"-> {render_term(body)}")
+            text = f"forall {var}. mem {var} {_operand(coll)} -> {render_term(body)}"
             return _wrap(text, _QUANT, level)
         case T.Lambda(params, body):
             return (f"(fun {' '.join(_pat(p) for p in params)} -> "
                     f"{render_term(body)})")
         case T.App(fn, args):
-            text = " ".join([render_term(fn, _POSTFIX)]
-                            + [render_term(a, _POSTFIX) for a in args])
+            text = " ".join([render_term(fn, _POSTFIX), *map(_operand, args)])
             return _wrap(text, _APP, level)
         case T.SumTerm(fn, lo, hi):
-            text = (f"sum {render_term(fn, _POSTFIX)} "
-                    f"{render_term(lo, _POSTFIX)} {render_term(hi, _POSTFIX)}")
+            text = f"sum {render_term(fn, _POSTFIX)} {_operand(lo)} {_operand(hi)}"
             return _wrap(text, _APP, level)
         case T.ConstValue(value):
             return render_value(value)
     raise ValueError(f"cannot render term {t!r}")
+
+
+def _operand(t: T.Term) -> str:
+    """``t`` as an operand that follows another one, in parentheses when it
+    starts with ``[``, which would read as indexing the operand before."""
+    text = render_term(t, _POSTFIX)
+    return f"({text})" if text.startswith("[") else text
 
 
 def _binary_fields(t):

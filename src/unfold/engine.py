@@ -154,7 +154,7 @@ def _apply_spec(f: SpecFn, args: list, what: str) -> Value:
         return apply_lambda(f, args)
     if callable(f):
         return f(*args)
-    raise EvaluationError(f"{what} is not applicable: {f!r}")
+    raise EvaluationError(f"{what} is not applicable: {bounded_repr(f)}")
 
 
 class _Loop:
@@ -194,8 +194,8 @@ class _Loop:
         if result is not True:
             step = len(visited)
             if result is not False:
-                raise EvaluationError(
-                    f"invariant at step {step}: returned non-boolean {result!r}")
+                raise EvaluationError(f"invariant at step {step}: returned "
+                                      f"non-boolean {bounded_repr(result)}")
             raise ContractViolation(
                 kind, step, f"invariant failed on visited={bounded_repr(visited)}, "
                             f"acc={bounded_repr(acc)}",
@@ -211,8 +211,8 @@ class _Loop:
         if self.trace is not None:
             self.trace.append(("variant", len(visited), self.contract.convergence_label))
         if type(m) is not int and (isinstance(m, bool) or not isinstance(m, int)):
-            raise EvaluationError(
-                f"convergence at step {len(visited)}: returned non-integer {m!r}")
+            raise EvaluationError(f"convergence at step {len(visited)}: "
+                                  f"returned non-integer {bounded_repr(m)}")
         return m
 
     def run(self, step_fn: Callable, init: Value) -> Value:

@@ -25,6 +25,7 @@ the nested edge-completing fold.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterable, Mapping
 
 from .containers import seq_cursor, set_cursor
@@ -36,9 +37,20 @@ from .values import CellRef, EMPTY_SET, FiniteSet, Value, value_key
 
 
 class GraphModel:
-    """Immutable graph: vertex set ``dom`` and successor map ``suc``."""
+    """Immutable graph: vertex set ``dom`` and successor map ``suc``.
 
-    __slots__ = ("dom", "_suc", "_suc_by_key")
+    A graph's successor map is one row (a :class:`FiniteSet`) per vertex
+    with successors, kept both in key order (``_suc``) and by vertex key
+    (``_suc_by_key``). Builders share what they do not change:
+    :func:`add_vertex` and :meth:`copy` share both, and :func:`add_edge`
+    replaces one row and shares the others, so an unchanged row is the
+    identical object in every later graph. ``g.suc`` in the term language
+    is one callable per successor map. A graph holds only values with a
+    structural key and never changes, so it is closed (``_closed_``).
+    """
+
+    __slots__ = ("dom", "_suc", "_suc_by_key", "_suc_fn")
+    _closed_ = True
 
     def __init__(self, dom: Iterable[Value] = (),
                  suc: Mapping[Value, Iterable[Value]] | None = None):
@@ -60,22 +72,35 @@ class GraphModel:
                         f"is outside the vertex set"
                     )
             entries.append((v, targets))
-        entries.sort(key=lambda e: value_key(e[0]))
+        entries.sort(key=_row_key)
         self._suc = tuple(entries)
         self._suc_by_key = {value_key(v): targets for v, targets in entries}
+        self._suc_fn = None
+
+    @classmethod
+    def _sharing(cls, dom: FiniteSet, suc: tuple, suc_by_key: dict,
+                 suc_fn: "Successors | None" = None) -> "GraphModel":
+        """A graph made of these parts, shared, not copied or checked."""
+        g = object.__new__(cls)
+        g.dom, g._suc, g._suc_by_key, g._suc_fn = dom, suc, suc_by_key, suc_fn
+        return g
 
     def suc(self, v: Value) -> FiniteSet:
-        return self._suc_by_key.get(value_key(v), EMPTY_SET)
+        return self._suc_by_key.get(_vertex_key(v), EMPTY_SET)
 
     # accessors used by the term evaluator for ``g.dom`` / ``g.suc``
     def field_dom(self) -> FiniteSet:
         return self.dom
 
-    def field_suc(self) -> Callable[[Value], FiniteSet]:
-        return self.suc
+    def field_suc(self) -> "Successors":
+        fn = self._suc_fn
+        if fn is None:
+            fn = self._suc_fn = Successors(self._suc_by_key)
+        return fn
 
     def copy(self) -> "GraphModel":
-        return GraphModel(self.dom, dict(self._suc))
+        return GraphModel._sharing(self.dom, self._suc, self._suc_by_key,
+                                   self.field_suc())
 
     def edges(self) -> tuple:
         return tuple((v, t) for v, targets in self._suc for t in targets)
@@ -96,25 +121,68 @@ class GraphModel:
         return f"GraphModel(dom={self.dom!r}, edges=[{edges}])"
 
 
+class Successors:
+    """The successor function of one successor map: the value of ``g.suc``.
+    It reads a dict that no one changes, so it is closed (``_closed_``)."""
+
+    __slots__ = ("_by_key",)
+    _closed_ = True
+
+    def __init__(self, by_key: dict):
+        self._by_key = by_key
+
+    def __call__(self, v: Value) -> FiniteSet:
+        return self._by_key.get((0, v) if type(v) is int else value_key(v),
+                                EMPTY_SET)
+
+    def __repr__(self) -> str:
+        return f"<successors of {len(self._by_key)} vertices>"
+
+
+def _vertex_key(v: Value) -> tuple:
+    return (0, v) if type(v) is int else value_key(v)
+
+
+def _row_key(row: tuple) -> tuple:
+    return _vertex_key(row[0])
+
+
 def empty_graph() -> GraphModel:
     return GraphModel()
 
 
 def add_vertex(g: GraphModel, v: Value) -> GraphModel:
-    """New graph with ``v`` in the vertex set; successors unchanged."""
-    return GraphModel(g.dom.add(v), dict(g._suc))
+    """New graph with ``v`` in the vertex set; successors unchanged (and
+    shared). ``g`` itself when ``v`` is already a vertex."""
+    dom = g.dom.add(v)
+    if dom is g.dom:
+        return g
+    return GraphModel._sharing(dom, g._suc, g._suc_by_key, g.field_suc())
 
 
 def add_edge(g: GraphModel, v: Value, w: Value) -> GraphModel:
     """New graph with the edge v->w added. Both endpoints must already be
-    vertices, otherwise the closure invariant would break."""
+    vertices, otherwise the closure invariant would break. Only the row of
+    ``v``, found by its key, is replaced; ``g`` itself when the edge is
+    already there."""
     if v not in g.dom:
         raise PreconditionError(f"add_edge: source {v!r} is not a vertex")
     if w not in g.dom:
         raise PreconditionError(f"add_edge: target {w!r} is not a vertex")
-    suc = dict(g._suc)
-    suc[v] = g.suc(v).add(w)
-    return GraphModel(g.dom, suc)
+    key = _vertex_key(v)
+    row = g._suc_by_key.get(key, EMPTY_SET)
+    new_row = row.add(w)
+    if new_row is row:
+        return g
+    suc = g._suc
+    at = bisect_left(suc, key, key=_row_key)
+    if row:  # keep the row's vertex, as a dict update keeps its key
+        suc = suc[:at] + ((suc[at][0], new_row),) + suc[at + 1:]
+    else:
+        suc = suc[:at] + ((v, new_row),) + suc[at:]
+    suc_by_key = dict(g._suc_by_key)
+    suc_by_key[key] = new_row
+    return GraphModel._sharing(g.dom, suc, suc_by_key)
 
 
 def copy(g: GraphModel) -> GraphModel:

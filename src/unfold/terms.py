@@ -59,6 +59,37 @@ replaced whole, and it keeps the values its last evaluation read (a visited
 view and with it the whole log, a graph) alive for as long as the node
 lives: one state per node, so the memory held is bounded but not released
 when the loop ends.
+
+The hoisted slots of a quantifier compiled outside any quantifier body (a
+prefix form or a set quantifier below) read no binder, and each also keeps
+its value across checks: it reuses the value while the raw values of its
+free names are the identical closed objects, so a ``flatten collection``
+or ``setof visited`` is not rebuilt while its input stays the same. Such a
+value is shared by later checks where plain evaluation would build it
+again; it is closed, so no reader can tell. A field of a name (``g.dom``,
+``g.suc``) is not kept this way: a graph keeps its fields.
+
+A set quantifier ``forall x in S. body`` compiled outside any quantifier
+body remembers its bindings, after the same paper (the graph step
+invariants restate the whole graph at every step, while one edge changed).
+Its body must apply no function but graph fields and bind nothing but
+inner quantifier variables, none named ``x``. Evaluating a binding records
+its *observations* in first-evaluation order: each slot of the quantifier's
+own memo it reads, and each maximal field projection (``e.f``, ``e.f a``),
+``mem`` or ``len`` subterm that reads ``x`` and no name bound inside the
+body, which runs once per binding. For each binding that held, the node
+keeps ``x`` and those values; a value that is not closed is never kept.
+A later evaluation reuses such a binding when ``x`` is the identical object,
+every name the body reads directly (outside observations and slots) holds
+the identical closed object, and each observation, read again in order,
+gives the identical value (or an equal ``int`` or ``bool``; strings are
+compared by identity, as :func:`~unfold.values.value_eq` compares them).
+A mismatch or an error in that re-read means the binding is evaluated in
+full, and a false or raising binding is never kept, so every result, error
+and message is what a fresh evaluation gives. The state is one dict of
+bindings per node, replaced whole at each evaluation, and it keeps the
+values it compared alive: again bounded, and not released when the loop
+ends.
 """
 
 from __future__ import annotations
@@ -70,7 +101,10 @@ from functools import partial
 from typing import Callable, Mapping, Union
 
 from .errors import EvaluationError
-from .values import EMPTY_SET, FiniteSet, SeqView, Value, deref, is_seq, value_eq
+from .values import (
+    EMPTY_SET, FiniteSet, SeqView, Value, _Ref, bounded_repr, deref, is_seq,
+    value_eq, value_key,
+)
 
 
 class Term:
@@ -351,7 +385,7 @@ def _bind_pattern(env: dict, pat: Pattern, value: Value) -> None:
         return
     if not is_seq(value) or len(value) != len(pat.names):
         raise EvaluationError(
-            f"cannot destructure {value!r} into {len(pat.names)} names"
+            f"cannot destructure {bounded_repr(value)} into {len(pat.names)} names"
         )
     for name, item in zip(pat.names, value):
         env[name] = item
@@ -362,7 +396,8 @@ def apply_lambda(f: Union[Closure, Lambda], args: list) -> Value:
     if isinstance(f, Lambda):
         f = Closure(f, {})
     if not isinstance(f, Closure):
-        raise EvaluationError(f"cannot apply non-function value {f!r}")
+        raise EvaluationError(
+            f"cannot apply non-function value {bounded_repr(f)}")
     supplied = f.bound + tuple(args)
     if len(supplied) > f.arity:
         raise EvaluationError(
@@ -383,7 +418,8 @@ def sum_range(f: Callable[[int], int], lo: int, hi: int) -> int:
     for i in range(lo, hi):
         term = f(i)
         if not isinstance(term, int):
-            raise EvaluationError(f"sum body returned non-integer {term!r}")
+            raise EvaluationError(
+                f"sum body returned non-integer {bounded_repr(term)}")
         total += term
     return total
 
@@ -395,19 +431,19 @@ def _as_int(v: Value, what: str) -> int:
         return int(v)
     if isinstance(v, int):
         return v
-    raise EvaluationError(f"{what} expected an integer, got {v!r}")
+    raise EvaluationError(f"{what} expected an integer, got {bounded_repr(v)}")
 
 
 def _as_bool(v: Value, what: str) -> bool:
     if isinstance(v, bool):
         return v
-    raise EvaluationError(f"{what} expected a boolean, got {v!r}")
+    raise EvaluationError(f"{what} expected a boolean, got {bounded_repr(v)}")
 
 
 def _as_seq(v: Value, what: str) -> tuple:
     if is_seq(v):
         return v
-    raise EvaluationError(f"{what} expected a sequence, got {v!r}")
+    raise EvaluationError(f"{what} expected a sequence, got {bounded_repr(v)}")
 
 
 def _as_set(v: Value, what: str) -> FiniteSet:
@@ -416,7 +452,8 @@ def _as_set(v: Value, what: str) -> FiniteSet:
         return v
     if is_seq(v):
         return FiniteSet(v)
-    raise EvaluationError(f"{what} expected a set or sequence, got {v!r}")
+    raise EvaluationError(
+        f"{what} expected a set or sequence, got {bounded_repr(v)}")
 
 
 def eval_term(t: Term, env: Env) -> Value:
@@ -499,25 +536,55 @@ _UNSET = object()
 class _Memo:
     """Compile-time record of one quantifier body's memo slots. At run time
     the memo is a list, fresh at every entry into the quantifier, kept in the
-    body's environment under this object as key."""
+    body's environment under this object as key.
 
-    __slots__ = ("size",)
+    A *cached* memo belongs to a quantifier compiled outside any quantifier
+    body, whose slots read no binder at all. Each of its slots also keeps
+    the raw values of the subterm's free names and its value from the last
+    entry that computed it, and reuses that value while those names hold the
+    identical objects. The pair is kept only when every value in it is
+    closed (:func:`_closed`); it is replaced whole."""
 
-    def __init__(self):
+    __slots__ = ("size", "cached")
+
+    def __init__(self, cached: bool = False):
         self.size = 0
+        self.cached = cached
 
-    def slot(self, run: Callable[[Env], Value]) -> Callable[[Env], Value]:
-        """``run``, evaluated at most once per memo: when first demanded."""
+    def slot(self, run: Callable[[Env], Value],
+             names: frozenset | None) -> Callable[[Env], Value]:
+        """``run``, evaluated at most once per memo: when first demanded.
+        In a cached memo it also reuses its value across entries while
+        ``names`` hold the identical objects, unless ``names`` is None."""
         i = self.size
         self.size += 1
+        if not self.cached or names is None:
+            def memoised(env):
+                memo = env[self]
+                v = memo[i]
+                if v is _UNSET:
+                    v = memo[i] = run(env)
+                return v
+            return memoised
+        names = tuple(names)
+        last = [None]  # (raw values of names, value), or None
 
-        def memoised(env):
+        def cached(env):
             memo = env[self]
             v = memo[i]
             if v is _UNSET:
-                v = memo[i] = run(env)
+                get = env.get
+                raw = tuple([get(name, _UNSET) for name in names])
+                kept = last[0]
+                if kept is not None and all(map(operator.is_, raw, kept[0])):
+                    v = kept[1]
+                else:
+                    v = run(env)
+                    closed = _closed_since(raw, kept) and _closed(v)
+                    last[0] = (raw, v) if closed else None
+                memo[i] = v
             return v
-        return memoised
+        return cached
 
 
 # Compiling inside quantifier bodies: ``scopes`` lists, outermost first, each
@@ -536,20 +603,45 @@ def _bind(scopes: Scopes, names) -> Scopes:
 def _compile_in(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
     """The compiled form of ``t`` at its place under ``scopes``. A subterm
     that reads no name bound in a scope is a slot of the outermost such
-    scope's memo; its own subterms can only hoist further out."""
-    if not scopes or not isinstance(t, Term) or isinstance(t, _NEVER_HOISTED):
+    scope's memo; its own subterms can only hoist further out. Under a
+    binding memo (the outermost scope), this is also where the names the
+    body reads directly and its observations are found."""
+    if not scopes or not isinstance(t, Term):
+        return compile_term(t)
+    top, bound = scopes[0]
+    if isinstance(top, _BindingMemo):
+        if isinstance(t, Var):
+            if t.name not in bound:
+                top.fixed.add(t.name)
+        elif top.observes(t, bound):
+            run = top.observe(_compile(t, ((top.quiet, bound),)))
+            if len(scopes) > 1:  # invariant in the inner quantifiers
+                return scopes[1][0].slot(run, free_vars(t))
+            return run
+    if isinstance(t, _NEVER_HOISTED):
         return compile_term(t)
     names = free_vars(t)
     for k, (memo, bound) in enumerate(scopes):
         if names.isdisjoint(bound):
-            return memo.slot(_compile(t, scopes[:k]) if k else compile_term(t))
+            if k:
+                return memo.slot(_compile(t, scopes[:k]), names)
+            # a field of a name is one method call, and a graph keeps its
+            # fields, so there is nothing to gain from keeping it across
+            # entries
+            field = isinstance(t, Field) and isinstance(t.term, Var)
+            run = memo.slot(compile_term(t), None if field else names)
+            if isinstance(memo, _BindingMemo) and len(scopes) > 1:
+                # recorded once per binding, not once per inner binding
+                return scopes[1][0].slot(run, names)
+            return run
     return _compile(t, scopes)
 
 
-def _quantifier_body(var: str, body: Term, scopes: Scopes):
+def _quantifier_body(var: str, body: Term, scopes: Scopes, memo: _Memo = None):
     """``(enter, body_)`` for a quantifier over ``var``: ``enter(env)`` is a
-    fresh environment for one entry, ``body_`` the body compiled for it."""
-    memo = _Memo()
+    fresh environment for one entry, ``body_`` the body compiled for it,
+    with ``memo`` (a fresh plain one by default) as its own."""
+    memo = memo or _Memo()
     body_ = _compile_in(body, _bind(scopes, (var,)) + ((memo, frozenset((var,))),))
     size = memo.size
     if not size:
@@ -570,9 +662,141 @@ def _quantifier(var: str, body: Term, scopes: Scopes):
         inner_env = enter(env)
         for x in domain:
             inner_env[var] = x
-            if not _as_bool(body_(inner_env), "quantifier body"):
+            v = body_(inner_env)
+            if v is not True and (v is False or not _as_bool(v, "quantifier body")):
                 return False
         return True
+    return forall
+
+
+# -- set quantifiers that remember their bindings (see the module docstring) --
+
+class _BindingMemo(_Memo):
+    """The cached memo of a ``forall var in S`` body, with what its bindings
+    read. At compile time it collects ``fixed``, the names the body reads
+    directly (outside observations and its own slots), and ``runs``, one
+    compiled form per observation: its own slots, and each maximal field,
+    ``mem`` or ``len`` subterm that reads ``var`` and no name bound inside
+    the body. ``var`` alone needs none: a binding is kept only when its
+    value is closed, so it reads as itself. ``state`` is None or
+    ``(fixed values, held)``, where
+    ``held`` maps ``id(x)`` of each binding that held to ``(x, record)``
+    (which keeps ``x`` alive, so an equal ``id`` means the same object),
+    ``record`` being its observations as pairs ``(compiled form, value)``,
+    in first-evaluation order. While a binding is evaluated, its
+    observations go into a dict from index to value, which keeps that
+    order."""
+
+    __slots__ = ("var", "fixed", "runs", "quiet", "state")
+
+    _OBSERVED = (Field, Mem, Len)
+
+    def __init__(self, var: str):
+        super().__init__(cached=True)
+        self.var, self.fixed, self.runs, self.state = var, set(), [], None
+        self.quiet = _Unrecorded(self)
+
+    def slot(self, run, names):
+        return self.observe(super().slot(run, names))
+
+    def observes(self, t: Term, bound: frozenset) -> bool:
+        """``t`` is an observation at a place where ``bound`` are bound."""
+        if not (isinstance(t, self._OBSERVED)
+                or isinstance(t, App) and isinstance(t.fn, Field)):
+            return False
+        return free_vars(t) & bound == {self.var}
+
+    def observe(self, run):
+        """``run``, recording its value in the current binding's record, an
+        insertion-ordered dict kept in the environment under ``quiet``."""
+        j = len(self.runs)
+        self.runs.append(run)
+        key = self.quiet
+
+        def observed(env):
+            v = env[key][j] = run(env)
+            return v
+        return observed
+
+
+class _Unrecorded:
+    """A binding memo's slots as seen from inside an observation: the same
+    cached slots, not recorded, since the observation is."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self, memo: _BindingMemo):
+        self.memo = memo
+
+    def slot(self, run, names):
+        return _Memo.slot(self.memo, run, names)
+
+
+def _memoisable(var: str, body: Term) -> bool:
+    """The body applies no function but graph fields, binds nothing but
+    quantifier variables, and never rebinds ``var``."""
+    pending = [body]
+    while pending:
+        t = pending.pop()
+        match t:
+            case Lambda() | LetTuple() | SumTerm():
+                return False
+            case App(fn, _) if not isinstance(fn, Field):
+                return False
+            case ForallRange(name, _, _, _) | ForallMem(name, _, _) if name == var:
+                return False
+        pending += _children(t)
+    return True
+
+
+def _binding_quantifier(var: str, body: Term):
+    """``(env, domain) -> bool`` deciding ``forall var in domain. body``, and
+    skipping each binding whose inputs are unchanged since it last held."""
+    memo = _BindingMemo(var)
+    enter, body_ = _quantifier_body(var, body, (), memo)
+    fixed, runs, key = tuple(sorted(memo.fixed)), memo.runs, memo.quiet
+
+    def forall(env, domain):
+        get = env.get
+        values = tuple([get(name, _UNSET) for name in fixed])
+        state = memo.state
+        if state is not None and all(map(operator.is_, values, state[0])):
+            last, keep = state[1], True
+        else:
+            last, keep = {}, _closed(values)
+        held = {}
+        inner_env = enter(env)
+        try:
+            for x in domain:
+                inner_env[var] = x
+                kept = last.get(ident := id(x))
+                if kept is not None:
+                    # reused when each observation, read again in order,
+                    # gives the identical value or an equal int or bool
+                    for run, old in kept[1]:
+                        try:
+                            new = run(inner_env)
+                        # a failing read only means a full evaluation, which
+                        # raises whatever is real where it is real
+                        except Exception:
+                            break
+                        if new is not old and not (
+                                type(old) is int and type(new) is int and new == old):
+                            break
+                    else:
+                        held[ident] = kept
+                        continue
+                record = inner_env[key] = {}
+                v = body_(inner_env)
+                if v is not True and (v is False or not _as_bool(v, "quantifier body")):
+                    return False
+                if keep and _closed((x, *record.values())):
+                    held[ident] = (x, tuple(zip(map(runs.__getitem__, record),
+                                                record.values())))
+            return True
+        finally:
+            if keep:
+                memo.state = (values, held)
     return forall
 
 
@@ -623,12 +847,15 @@ def _extends(new: Value, old: Value) -> bool:
 
 def _closed(v: Value) -> bool:
     """Immutable all the way down: no reference cell or function anywhere
-    inside. Tuples are walked; a value with a structural key is closed when
-    the key can be computed, which fails on a cell or a function inside."""
+    inside. Tuples are walked; a value whose class declares ``_closed_``
+    (a set, a graph, a graph's successor function) is closed by
+    construction; any other value with a structural key is closed when the
+    key can be computed, which fails on a cell or a function inside."""
     pending = [v]
     while pending:
         v = pending.pop()
-        if v is None or isinstance(v, (int, str)):
+        t = type(v)
+        if t in _ATOMS or getattr(t, "_closed_", False) or isinstance(v, (int, str)):
             continue
         if is_seq(v):
             pending += v
@@ -640,6 +867,18 @@ def _closed(v: Value) -> bool:
         else:
             return False
     return True
+
+
+_ATOMS = frozenset((int, bool, str, type(None)))
+
+
+def _closed_since(new: tuple, kept) -> bool:
+    """Every value of ``new`` is closed, where ``kept`` is None or a pair
+    whose first item holds closed values: one that is, or extends, its
+    counterpart there is checked only past it (see :func:`_extends`)."""
+    if kept is None:
+        return _closed(new)
+    return all(_extends(v, old) or _closed(v) for v, old in zip(new, kept[0]))
 
 
 class _PrefixMemo:
@@ -679,7 +918,7 @@ class _PrefixMemo:
 
 def _prefix_forall(t: ForallRange, grow: tuple, fixed: tuple):
     var, lo_, hi_ = t.var, compile_term(t.lo), compile_term(t.hi)
-    enter, body_ = _quantifier_body(var, t.body, ())
+    enter, body_ = _quantifier_body(var, t.body, (), _Memo(cached=True))
     memo = _PrefixMemo(grow, fixed)
 
     def run(env):
@@ -691,7 +930,9 @@ def _prefix_forall(t: ForallRange, grow: tuple, fixed: tuple):
             inner_env = enter(env)
             for i in range(start, hi_v):
                 inner_env[var] = i
-                if not _as_bool(body_(inner_env), "quantifier body"):
+                v = body_(inner_env)
+                if v is not True and (
+                        v is False or not _as_bool(v, "quantifier body")):
                     return False
             i = max(start, hi_v)
             return True
@@ -768,9 +1009,10 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
         case Var(name):
             def run(env):
                 try:
-                    return deref(env[name])
+                    v = env[name]
                 except KeyError:
                     raise EvaluationError(f"unbound variable '{name}'") from None
+                return deref(v) if isinstance(v, _Ref) else v
         case IntLit(value) | BoolLit(value) | ConstValue(value):
             run = lambda env: value
         case UnitLit():
@@ -809,7 +1051,8 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
 
             def run(env):
                 for a_ in operands:
-                    if not _as_bool(a_(env), "'/\\'"):
+                    v = a_(env)
+                    if v is not True and (v is False or not _as_bool(v, "'/\\'")):
                         return False
                 return True
         case Or():
@@ -818,23 +1061,33 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
 
             def run(env):
                 for a_ in operands:
-                    if _as_bool(a_(env), "'\\/'"):
+                    v = a_(env)
+                    if v is True or (v is not False and _as_bool(v, "'\\/'")):
                         return True
                 return False
         case Not(inner):
             a_ = sub(inner)
-            run = lambda env: not _as_bool(a_(env), "'not'")
+            def run(env):
+                v = a_(env)
+                if v is True or v is False:
+                    return not v
+                return not _as_bool(v, "'not'")
         case Implies(left, right):
             a_, b_ = sub(left), sub(right)
-            run = lambda env: (not _as_bool(a_(env), "'->'")
-                               or _as_bool(b_(env), "'->'"))
+            def run(env):
+                v = a_(env)
+                if v is False or (v is not True and not _as_bool(v, "'->'")):
+                    return True
+                v = b_(env)
+                return v if v is True or v is False else _as_bool(v, "'->'")
         case Len(inner):
             a_ = sub(inner)
             def run(env):
                 v = a_(env)
                 if is_seq(v) or isinstance(v, FiniteSet):
                     return len(v)
-                raise EvaluationError(f"'len' expected a sequence or set, got {v!r}")
+                raise EvaluationError(
+                    f"'len' expected a sequence or set, got {bounded_repr(v)}")
         case Index(seq, index):
             s_, i_ = sub(seq), sub(index)
             def run(env):
@@ -883,11 +1136,12 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
             x_, c_ = sub(elem), sub(coll)
             def run(env):
                 x, c = x_(env), c_(env)
+                if isinstance(c, FiniteSet):
+                    return ((0, x) if type(x) is int else value_key(x)) in c._index
                 if is_seq(c):
                     return any(value_eq(x, e) for e in c)
-                if isinstance(c, FiniteSet):
-                    return x in c
-                raise EvaluationError(f"'mem' expected a set or sequence, got {c!r}")
+                raise EvaluationError(
+                    f"'mem' expected a set or sequence, got {bounded_repr(c)}")
         case Subset(left, right):
             run = _set_op(FiniteSet.subset, "'subset'", sub(left), sub(right))
         case UnionOp(left, right):
@@ -901,7 +1155,7 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
             run = lambda env: _as_set(c_(env), "'add'").add(x_(env))
         case Field(inner, name):
             run = _method(sub(inner), f"field_{name}",
-                          lambda v: f"value {v!r} has no field '.{name}'")
+                          lambda v: f"value {bounded_repr(v)} has no field '.{name}'")
         case ForallRange(var, lo, Len(Var(seq)), body) if not scopes and (
                 names := _prefix_names(var, body, seq)):
             run = _prefix_forall(t, *names)
@@ -912,18 +1166,33 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
                 hi_v = _as_int(hi_(env), "quantifier bound")
                 return forall(env, range(lo_v, hi_v))
         case ForallMem(var, coll, body):
-            c_, forall = sub(coll), _quantifier(var, body, scopes)
+            c_ = sub(coll)
+            if not scopes and _memoisable(var, body):
+                forall = _binding_quantifier(var, body)
+            else:
+                forall = _quantifier(var, body, scopes)
             def run(env):
                 c = c_(env)
                 if not (is_seq(c) or isinstance(c, FiniteSet)):
                     raise EvaluationError(
-                        f"quantifier domain must be a set or sequence, got {c!r}"
+                        f"quantifier domain must be a set or sequence, got {bounded_repr(c)}"
                     )
                 return forall(env, c)
         case Lambda():
             # weakly, since the node holds this form: no reference cycle
             node = weakref.ref(t)
             run = lambda env: Closure(node(), dict(env))
+        case App(fn, (arg,)):
+            f_, a_ = sub(fn), sub(arg)
+            def run(env):
+                f = f_(env)
+                v = a_(env)
+                if isinstance(f, Closure):
+                    return apply_lambda(f, [v])
+                if callable(f):
+                    return f(v)
+                raise EvaluationError(
+                    f"cannot apply non-function value {bounded_repr(f)}")
         case App(fn, args):
             f_, args_ = sub(fn), tuple(map(sub, args))
             def run(env):
@@ -933,7 +1202,8 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
                     return apply_lambda(f, vals)
                 if callable(f):
                     return f(*vals)
-                raise EvaluationError(f"cannot apply non-function value {f!r}")
+                raise EvaluationError(
+                    f"cannot apply non-function value {bounded_repr(f)}")
         case SumTerm(Lambda((VarPat(var),), body), lo, Len(Var(seq))) if (
                 not scopes and (names := _prefix_names(var, body, seq))):
             run = _prefix_sum(t, *names)
@@ -948,17 +1218,18 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
                 elif callable(f):
                     body = f
                 else:
-                    raise EvaluationError(f"'sum' expected a function, got {f!r}")
+                    raise EvaluationError(
+                        f"'sum' expected a function, got {bounded_repr(f)}")
                 return sum_range(lambda i: _as_int(body(i), "'sum' body"), lo_v, hi_v)
         case Flatten(inner):
             run = _method(sub(inner), "flatten",
-                          lambda v: f"'flatten' expected a tree, got {v!r}")
+                          lambda v: f"'flatten' expected a tree, got {bounded_repr(v)}")
         case Levels(inner):
             run = _method(sub(inner), "levels",
-                          lambda v: f"'levels' expected a tree, got {v!r}")
+                          lambda v: f"'levels' expected a tree, got {bounded_repr(v)}")
         case CopyTerm(inner):
             run = _method(sub(inner), "copy",
-                          lambda v: f"'copy' expected a graph, got {v!r}")
+                          lambda v: f"'copy' expected a graph, got {bounded_repr(v)}")
         case _:
             def run(env):
                 raise EvaluationError(f"unknown term node {t!r}")

@@ -14,6 +14,7 @@ logical contents, never the reference itself.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from itertools import islice
 from typing import Any, Iterable, Iterator
 
@@ -145,11 +146,17 @@ def value_key(v: Value) -> tuple:
 
 def value_eq(a: Value, b: Value) -> bool:
     """Structural equality, total over all value kinds (distinct kinds
-    compare unequal rather than raising)."""
+    compare unequal rather than raising). A value outside the domain of
+    :func:`value_key` equals only itself."""
+    if a is b:
+        return True
+    t = type(a)
+    if t is type(b) and (t is int or t is bool):
+        return a == b
     try:
         return value_key(a) == value_key(b)
     except EvaluationError:
-        return a is b
+        return False
 
 
 class FiniteSet:
@@ -158,10 +165,20 @@ class FiniteSet:
     Equality ignores construction order; iteration is always canonical.
     Membership is a hash lookup in ``_index``, the dict from each key to its
     element that construction builds anyway, kept instead of hashing the
-    keys a second time.
+    keys a second time. On equal keys the element met first is kept, so the
+    left operand's element wins in :meth:`union` and :meth:`add`.
+
+    The set algebra works on the operands' sorted keys and index: it never
+    recomputes a :func:`value_key` of an operand's element, ``inter`` and
+    ``diff`` keep the left operand's order instead of sorting, and a result
+    equal to an operand (with the same elements) is that operand, so
+    unchanged sets stay the identical object from one step to the next.
+    A set holds only values with a structural key and never changes, so it
+    is closed (``_closed_``).
     """
 
     __slots__ = ("_elems", "_keys", "_index")
+    _closed_ = True
 
     def __init__(self, iterable: Iterable[Value] = ()):
         seen = {}
@@ -172,11 +189,35 @@ class FiniteSet:
         self._index = seen
         self._elems = tuple(seen[k] for k in keys)
 
+    @classmethod
+    def _of(cls, keys: tuple, index: dict) -> "FiniteSet":
+        """The set of ``index``'s elements, ``keys`` being its keys sorted."""
+        s = object.__new__(cls)
+        s._keys, s._index = keys, index
+        s._elems = tuple(map(index.__getitem__, keys))
+        return s
+
+    def _with_keys(self, keys: list) -> "FiniteSet":
+        """The subset of ``self`` with ``keys``, a sublist of its keys."""
+        if len(keys) == len(self._keys):
+            return self
+        if not keys:
+            return EMPTY_SET
+        index = self._index
+        return FiniteSet._of(tuple(keys), {k: index[k] for k in keys})
+
+    def _same_elements(self, other: "FiniteSet", keys) -> bool:
+        """Each of ``keys`` maps to the identical element in both sets."""
+        index, other_index = self._index, other._index
+        return all(index[k] is other_index[k] for k in keys)
+
     @property
     def elems(self) -> tuple:
         return self._elems
 
     def __contains__(self, v: Value) -> bool:
+        if type(v) is int:
+            return (0, v) in self._index
         return value_key(v) in self._index
 
     def __iter__(self) -> Iterator[Value]:
@@ -198,19 +239,45 @@ class FiniteSet:
         return (3, self._keys)
 
     def union(self, other: "FiniteSet") -> "FiniteSet":
-        return FiniteSet(self._elems + other._elems)
+        index = self._index
+        extra = [k for k in other._keys if k not in index]
+        if not extra:
+            return self
+        if (len(index) + len(extra) == len(other._keys)
+                and self._same_elements(other, self._keys)):
+            return other
+        merged = dict(index)
+        other_index = other._index
+        for k in extra:
+            merged[k] = other_index[k]
+        return FiniteSet._of(tuple(sorted(self._keys + tuple(extra))), merged)
 
     def inter(self, other: "FiniteSet") -> "FiniteSet":
-        return FiniteSet(e for e in self._elems if e in other)
+        other_index = other._index
+        keys = [k for k in self._keys if k in other_index]
+        if (len(keys) == len(other_index) < len(self._keys)
+                and self._same_elements(other, keys)):
+            return other
+        return self._with_keys(keys)
 
     def diff(self, other: "FiniteSet") -> "FiniteSet":
-        return FiniteSet(e for e in self._elems if e not in other)
+        other_index = other._index
+        return self._with_keys([k for k in self._keys if k not in other_index])
 
     def add(self, v: Value) -> "FiniteSet":
-        return FiniteSet(self._elems + (v,))
+        k = (0, v) if type(v) is int else value_key(v)
+        index = self._index
+        if k in index:
+            return self
+        keys = self._keys
+        at = bisect_right(keys, k)
+        index = dict(index)
+        index[k] = v
+        return FiniteSet._of(keys[:at] + (k,) + keys[at:], index)
 
     def subset(self, other: "FiniteSet") -> bool:
-        return all(e in other for e in self._elems)
+        other_index = other._index
+        return all(k in other_index for k in self._keys)
 
 
 EMPTY_SET = FiniteSet()

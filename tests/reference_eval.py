@@ -4,11 +4,12 @@ that dispatches on the node type at every visit.
 It is the oracle of the differential tests in ``test_term_compiler.py``.
 Its evaluation order and error messages define the behaviour the compiled
 evaluator in :mod:`unfold.terms` must reproduce. It is the match-based
-interpreter that ``unfold.terms`` used before closure compilation, with two
-changes: an unknown comparison operator raises ``EvaluationError`` rather
-than ``KeyError``, and a sequence is any value :func:`unfold.values.is_seq`
-accepts, a tuple or a view of an append-only log (a cursor's visited
-sequence). Closures it creates are ordinary
+interpreter that ``unfold.terms`` used before closure compilation, with
+three changes: an unknown comparison operator raises ``EvaluationError``
+rather than ``KeyError``, a sequence is any value
+:func:`unfold.values.is_seq` accepts, a tuple or a view of an append-only
+log (a cursor's visited sequence), and a value in an error message is
+printed through :func:`unfold.values.bounded_repr`. Closures it creates are ordinary
 :class:`unfold.terms.Closure` values, applied here by :func:`apply_lambda`.
 """
 
@@ -25,7 +26,9 @@ from unfold.terms import (
     SumTerm, Term, TuplePat, TupleTerm, UnionOp, UnitLit, Var, VarPat,
     sum_range,
 )
-from unfold.values import EMPTY_SET, FiniteSet, Value, deref, is_seq, value_eq
+from unfold.values import (
+    EMPTY_SET, FiniteSet, Value, bounded_repr, deref, is_seq, value_eq,
+)
 
 
 def _bind_pattern(env: dict, pat: Pattern, value: Value) -> None:
@@ -34,7 +37,7 @@ def _bind_pattern(env: dict, pat: Pattern, value: Value) -> None:
         return
     if not is_seq(value) or len(value) != len(pat.names):
         raise EvaluationError(
-            f"cannot destructure {value!r} into {len(pat.names)} names"
+            f"cannot destructure {bounded_repr(value)} into {len(pat.names)} names"
         )
     for name, item in zip(pat.names, value):
         env[name] = item
@@ -45,7 +48,7 @@ def apply_lambda(f: Union[Closure, Lambda], args: list) -> Value:
     if isinstance(f, Lambda):
         f = Closure(f, {})
     if not isinstance(f, Closure):
-        raise EvaluationError(f"cannot apply non-function value {f!r}")
+        raise EvaluationError(f"cannot apply non-function value {bounded_repr(f)}")
     supplied = f.bound + tuple(args)
     if len(supplied) > f.arity:
         raise EvaluationError(
@@ -65,19 +68,19 @@ def _as_int(v: Value, what: str) -> int:
         return int(v)
     if isinstance(v, int):
         return v
-    raise EvaluationError(f"{what} expected an integer, got {v!r}")
+    raise EvaluationError(f"{what} expected an integer, got {bounded_repr(v)}")
 
 
 def _as_bool(v: Value, what: str) -> bool:
     if isinstance(v, bool):
         return v
-    raise EvaluationError(f"{what} expected a boolean, got {v!r}")
+    raise EvaluationError(f"{what} expected a boolean, got {bounded_repr(v)}")
 
 
 def _as_seq(v: Value, what: str) -> tuple:
     if is_seq(v):
         return v
-    raise EvaluationError(f"{what} expected a sequence, got {v!r}")
+    raise EvaluationError(f"{what} expected a sequence, got {bounded_repr(v)}")
 
 
 def _as_set(v: Value, what: str) -> FiniteSet:
@@ -86,7 +89,7 @@ def _as_set(v: Value, what: str) -> FiniteSet:
         return v
     if is_seq(v):
         return FiniteSet(v)
-    raise EvaluationError(f"{what} expected a set or sequence, got {v!r}")
+    raise EvaluationError(f"{what} expected a set or sequence, got {bounded_repr(v)}")
 
 
 def eval_term(t: Term, env: Env) -> Value:
@@ -142,7 +145,8 @@ def eval_term(t: Term, env: Env) -> Value:
             v = eval_term(inner, env)
             if is_seq(v) or isinstance(v, FiniteSet):
                 return len(v)
-            raise EvaluationError(f"'len' expected a sequence or set, got {v!r}")
+            raise EvaluationError(
+                f"'len' expected a sequence or set, got {bounded_repr(v)}")
         case Index(seq, index):
             s = _as_seq(eval_term(seq, env), "indexing")
             i = _as_int(eval_term(index, env), "index")
@@ -184,7 +188,8 @@ def eval_term(t: Term, env: Env) -> Value:
                 return any(value_eq(x, e) for e in c)
             if isinstance(c, FiniteSet):
                 return x in c
-            raise EvaluationError(f"'mem' expected a set or sequence, got {c!r}")
+            raise EvaluationError(
+                f"'mem' expected a set or sequence, got {bounded_repr(c)}")
         case Subset(left, right):
             return _as_set(eval_term(left, env), "'subset'").subset(
                 _as_set(eval_term(right, env), "'subset'"))
@@ -206,7 +211,7 @@ def eval_term(t: Term, env: Env) -> Value:
             v = eval_term(inner, env)
             getter = getattr(v, f"field_{name}", None)
             if getter is None:
-                raise EvaluationError(f"value {v!r} has no field '.{name}'")
+                raise EvaluationError(f"value {bounded_repr(v)} has no field '.{name}'")
             return getter()
         case ForallRange(var, lo, hi, body):
             lo_v = _as_int(eval_term(lo, env), "quantifier bound")
@@ -221,7 +226,7 @@ def eval_term(t: Term, env: Env) -> Value:
             c = eval_term(coll, env)
             if not (is_seq(c) or isinstance(c, FiniteSet)):
                 raise EvaluationError(
-                    f"quantifier domain must be a set or sequence, got {c!r}"
+                    f"quantifier domain must be a set or sequence, got {bounded_repr(c)}"
                 )
             inner_env = dict(env)
             for e in c:
@@ -238,7 +243,7 @@ def eval_term(t: Term, env: Env) -> Value:
                 return apply_lambda(f, vals)
             if callable(f):
                 return f(*vals)
-            raise EvaluationError(f"cannot apply non-function value {f!r}")
+            raise EvaluationError(f"cannot apply non-function value {bounded_repr(f)}")
         case SumTerm(fn, lo, hi):
             f = eval_term(fn, env)
             lo_v = _as_int(eval_term(lo, env), "'sum' bound")
@@ -248,25 +253,25 @@ def eval_term(t: Term, env: Env) -> Value:
             elif callable(f):
                 body = f
             else:
-                raise EvaluationError(f"'sum' expected a function, got {f!r}")
+                raise EvaluationError(f"'sum' expected a function, got {bounded_repr(f)}")
             return sum_range(lambda i: _as_int(body(i), "'sum' body"), lo_v, hi_v)
         case Flatten(inner):
             v = eval_term(inner, env)
             flat = getattr(v, "flatten", None)
             if flat is None:
-                raise EvaluationError(f"'flatten' expected a tree, got {v!r}")
+                raise EvaluationError(f"'flatten' expected a tree, got {bounded_repr(v)}")
             return flat()
         case Levels(inner):
             v = eval_term(inner, env)
             levels = getattr(v, "levels", None)
             if levels is None:
-                raise EvaluationError(f"'levels' expected a tree, got {v!r}")
+                raise EvaluationError(f"'levels' expected a tree, got {bounded_repr(v)}")
             return levels()
         case CopyTerm(inner):
             v = eval_term(inner, env)
             copy = getattr(v, "copy", None)
             if copy is None:
-                raise EvaluationError(f"'copy' expected a graph, got {v!r}")
+                raise EvaluationError(f"'copy' expected a graph, got {bounded_repr(v)}")
             return copy()
         case ConstValue(value):
             return value

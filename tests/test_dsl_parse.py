@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from unfold import ParseError, SemanticError
 from unfold.dsl import (
@@ -311,6 +311,9 @@ class TestTermRoundTrip:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_term_strategy())
+    # a sequence literal after another operand must not read as indexing it
+    @example(T.SumTerm(T.Var("x"), T.SeqLit(()), T.EmptySetLit()))
+    @example(T.App(T.Var("f"), (T.SeqLit((T.IntLit(1),)),)))
     def test_parse_render_is_identity(self, term):
         rendered = render_term(term)
         assert parse_term_text(rendered) == term

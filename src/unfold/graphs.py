@@ -86,7 +86,7 @@ class GraphModel:
         return g
 
     def suc(self, v: Value) -> FiniteSet:
-        return self._suc_by_key.get(_vertex_key(v), EMPTY_SET)
+        return self._suc_by_key.get(value_key(v), EMPTY_SET)
 
     # accessors used by the term evaluator for ``g.dom`` / ``g.suc``
     def field_dom(self) -> FiniteSet:
@@ -132,19 +132,14 @@ class Successors:
         self._by_key = by_key
 
     def __call__(self, v: Value) -> FiniteSet:
-        return self._by_key.get((0, v) if type(v) is int else value_key(v),
-                                EMPTY_SET)
+        return self._by_key.get(value_key(v), EMPTY_SET)
 
     def __repr__(self) -> str:
         return f"<successors of {len(self._by_key)} vertices>"
 
 
-def _vertex_key(v: Value) -> tuple:
-    return (0, v) if type(v) is int else value_key(v)
-
-
 def _row_key(row: tuple) -> tuple:
-    return _vertex_key(row[0])
+    return value_key(row[0])
 
 
 def empty_graph() -> GraphModel:
@@ -169,7 +164,7 @@ def add_edge(g: GraphModel, v: Value, w: Value) -> GraphModel:
         raise PreconditionError(f"add_edge: source {v!r} is not a vertex")
     if w not in g.dom:
         raise PreconditionError(f"add_edge: target {w!r} is not a vertex")
-    key = _vertex_key(v)
+    key = value_key(v)
     row = g._suc_by_key.get(key, EMPTY_SET)
     new_row = row.add(w)
     if new_row is row:

@@ -81,9 +81,11 @@ body, which runs once per binding. For each binding that held, the node
 keeps ``x`` and those values; a value that is not closed is never kept.
 A later evaluation reuses such a binding when ``x`` is the identical object,
 every name the body reads directly (outside observations and slots) holds
-the identical closed object, and each observation, read again in order,
-gives the identical value (or an equal ``int`` or ``bool``; strings are
-compared by identity, as :func:`~unfold.values.value_eq` compares them).
+the identical closed object (checked, when one changes, as a prefix form
+checks its inputs: a longer view only past the part already checked), and
+each observation, read again in order, gives the identical value (or an
+equal ``int`` or ``bool``; strings are compared by identity, as
+:func:`~unfold.values.value_eq` compares them).
 A mismatch or an error in that re-read means the binding is evaluated in
 full, and a false or raising binding is never kept, so every result, error
 and message is what a fresh evaluation gives. The state is one dict of
@@ -103,7 +105,7 @@ from typing import Callable, Mapping, Union
 from .errors import EvaluationError
 from .values import (
     EMPTY_SET, FiniteSet, SeqView, Value, _Ref, bounded_repr, deref, is_seq,
-    value_eq, value_key,
+    value_eq,
 )
 
 
@@ -763,7 +765,7 @@ def _binding_quantifier(var: str, body: Term):
         if state is not None and all(map(operator.is_, values, state[0])):
             last, keep = state[1], True
         else:
-            last, keep = {}, _closed(values)
+            last, keep = {}, _closed_since(values, state)
         held = {}
         inner_env = enter(env)
         try:
@@ -1137,7 +1139,7 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
             def run(env):
                 x, c = x_(env), c_(env)
                 if isinstance(c, FiniteSet):
-                    return ((0, x) if type(x) is int else value_key(x)) in c._index
+                    return x in c
                 if is_seq(c):
                     return any(value_eq(x, e) for e in c)
                 raise EvaluationError(
@@ -1182,17 +1184,6 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
             # weakly, since the node holds this form: no reference cycle
             node = weakref.ref(t)
             run = lambda env: Closure(node(), dict(env))
-        case App(fn, (arg,)):
-            f_, a_ = sub(fn), sub(arg)
-            def run(env):
-                f = f_(env)
-                v = a_(env)
-                if isinstance(f, Closure):
-                    return apply_lambda(f, [v])
-                if callable(f):
-                    return f(v)
-                raise EvaluationError(
-                    f"cannot apply non-function value {bounded_repr(f)}")
         case App(fn, args):
             f_, args_ = sub(fn), tuple(map(sub, args))
             def run(env):

@@ -216,8 +216,6 @@ class FiniteSet:
         return self._elems
 
     def __contains__(self, v: Value) -> bool:
-        if type(v) is int:
-            return (0, v) in self._index
         return value_key(v) in self._index
 
     def __iter__(self) -> Iterator[Value]:
@@ -265,7 +263,7 @@ class FiniteSet:
         return self._with_keys([k for k in self._keys if k not in other_index])
 
     def add(self, v: Value) -> "FiniteSet":
-        k = (0, v) if type(v) is int else value_key(v)
+        k = value_key(v)
         index = self._index
         if k in index:
             return self

@@ -25,7 +25,7 @@ from unfold.terms import (
     App, Cmp, Field, ForallMem, ForallRange, Implies, Index, IntLit, Len, Mem,
     SetOf, Var,
 )
-from unfold.values import CellRef, FiniteSet
+from unfold.values import CellRef, FiniteSet, SeqView
 
 import reference_eval
 
@@ -105,6 +105,17 @@ def test_two_vertices_sharing_one_row_object_keep_their_own_rows():
     assert k.suc(1) is row and k.suc(0) == FiniteSet([1, 2])
     assert k.edges() == ((0, 1), (0, 2), (1, 2))
     assert g.edges() == ((0, 2), (1, 2))
+
+
+def test_a_graphs_suc_is_equal_only_to_the_suc_of_the_same_successor_map():
+    # a function value equals only itself, and ``g.suc`` is one function per
+    # successor map, shared by the graphs that share the map
+    g = graph_of(range(3), [(0, 1)])
+    same = Cmp("=", Field(Var("g"), "suc"), Field(Var("h"), "suc"))
+    for h, equal in ((g, True), (g.copy(), True), (add_vertex(g, 7), True),
+                     (add_edge(g, 1, 2), False), (add_edge(g, 0, 1), True),
+                     (graph_of(range(3), [(0, 1)]), False)):
+        assert agree(same, {"g": g, "h": h}) == ("value", equal)
 
 
 # -- the binding memo -----------------------------------------------------------------------
@@ -284,6 +295,25 @@ def test_a_tree_permitted_flattens_the_tree_once_per_fold(monkeypatch):
         collection=elems))
     assert total == sum(elems)
     assert flattened == [tree]
+
+
+def test_a_set_quantifier_indexing_visited_reads_each_element_once(monkeypatch):
+    # the body reads the visited view directly, so the view is a name the
+    # memo compares at every check; a longer view of the same log is checked
+    # only past the part already checked, never walked from its start
+    n = 3000
+    inv = terms.eval_term(parse_term_text(
+        "(fun v a -> forall x. mem x S -> x < len v -> v[x] >= 0)"),
+        {"S": FiniteSet([0, 1, 2])})
+    walked = []
+    iterate = SeqView.__iter__
+    monkeypatch.setattr(SeqView, "__iter__",
+                        lambda self: walked.append(len(self)) or iterate(self))
+    s = tuple(range(n))
+    total = checked_fold(lambda a, x: a + x, 0, seq_cursor(s), ClientContract(
+        inv=inv, convergence=lambda c, v: len(c) - len(v), collection=s))
+    assert total == sum(s)
+    assert sum(walked) <= 2 * n
 
 
 # -- bounded evaluation errors -----------------------------------------------------------------

@@ -7,6 +7,7 @@ expectations, 2 on parse or semantic errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -105,7 +106,9 @@ def _cmd_demo(args) -> int:
     return 0 if all_ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _argument_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="unfold",
         description="Runtime-checked higher-order iteration: scenario "
@@ -132,7 +135,11 @@ def main(argv=None) -> int:
     demo.add_argument("--format", choices=("text", "json"), default="text")
     demo.set_defaults(fn=_cmd_demo)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _argument_parser().parse_args(argv)
     return args.fn(args)
 
 

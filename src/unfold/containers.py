@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .cursor import Cursor, create_cursor
@@ -32,35 +33,55 @@ from .engine import ClientContract, checked_iter
 from .values import FiniteSet, QueueRef, StackRef, Value, value_key
 
 
+def _in_order(tree: "BinaryTree") -> tuple:
+    """Iterative, so a deep spine does not exhaust the Python stack."""
+    out: list = []
+    pending: list = []
+    node = tree
+    while pending or not isinstance(node, Leaf):
+        while not isinstance(node, Leaf):
+            pending.append(node)
+            node = node.left
+        node = pending.pop()
+        out.append(node.value)
+        node = node.right
+    return tuple(out)
+
+
+def _by_level(tree: "BinaryTree") -> tuple:
+    out: list = []
+    layer = [tree] if not isinstance(tree, Leaf) else []
+    while layer:
+        out.append(tuple(node.value for node in layer))
+        layer = [child
+                 for node in layer
+                 for child in (node.left, node.right)
+                 if not isinstance(child, Leaf)]
+    return tuple(out)
+
+
 class BinaryTree:
+    """A tree never changes after it is built, so each node walks itself at
+    most once for ``flatten`` and once for ``levels``, and keeps the result
+    beside its fields (equality and hashing read the fields only)."""
+
     __slots__ = ()
 
     def flatten(self) -> tuple:
-        """All values, left-to-right (node value between its subtrees).
-        Iterative, so a deep spine does not exhaust the Python stack."""
-        out: list = []
-        pending: list = []
-        node = self
-        while pending or not isinstance(node, Leaf):
-            while not isinstance(node, Leaf):
-                pending.append(node)
-                node = node.left
-            node = pending.pop()
-            out.append(node.value)
-            node = node.right
-        return tuple(out)
+        """All values, left-to-right (node value between its subtrees)."""
+        return self._flat
 
     def levels(self) -> tuple:
         """One sequence per depth, each left-to-right; root is level 0."""
-        out: list = []
-        layer = [self] if not isinstance(self, Leaf) else []
-        while layer:
-            out.append(tuple(node.value for node in layer))
-            layer = [child
-                     for node in layer
-                     for child in (node.left, node.right)
-                     if not isinstance(child, Leaf)]
-        return tuple(out)
+        return self._levels
+
+    @cached_property
+    def _flat(self) -> tuple:
+        return _in_order(self)
+
+    @cached_property
+    def _levels(self) -> tuple:
+        return _by_level(self)
 
     def size(self) -> int:
         return len(self.flatten())

@@ -1,8 +1,13 @@
-"""Tokenizer for the annotation language and scenario files."""
+"""Tokenizer for the annotation language and scenario files.
+
+One compiled pattern, matched at a moving position, reads each token with
+the blanks before it. Its classes are ASCII: any other character is a
+ParseError.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from ..errors import ParseError
 
@@ -18,27 +23,32 @@ KEYWORDS = {
     "graph", "tree", "node", "leaf", "vertices", "edge",
 }
 
+# longest first: the token pattern tries them in this order
 _PUNCT = (
     "->", "/\\", "\\/", "<>", "<=", ">=",
     "(", ")", "[", "]", "{", "}", ",", ";", ":", ".",
     "=", "<", ">", "+", "-", "*", "~",
 )
 
+# a token, after any blanks (str.isspace on ASCII: tab to carriage return,
+# \x1c-\x1f, space); the group that matched names the token's kind
+_BLANKS = re.compile(r"[\t\x0b\x0c\r\x1c-\x1f ]*")
+_TOKEN = re.compile(_BLANKS.pattern + "(?:" + "|".join((
+    r"(?P<NEWLINE>\n)",
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)",
+    r"(?P<TYVAR>'[A-Za-z0-9_']+)",
+    r"(?P<INT>[0-9]+)",
+    "(?P<PUNCT>" + "|".join(map(re.escape, _PUNCT)) + ")")) + ")")
 
-@dataclass(frozen=True)
+
 class Token:
-    kind: str  # IDENT, TYVAR, INT, KW, PUNCT, EOF
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
 
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind  # IDENT, TYVAR, INT, KW, PUNCT, EOF
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def strip_wrapper(text: str) -> str:
@@ -52,56 +62,21 @@ def strip_wrapper(text: str) -> str:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start, pos = 1, 0, 0
+    match = _TOKEN.match
+    while m := match(text, pos):
+        kind, pos = m.lastgroup, m.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_line, start_col = line, col
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = "KW" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            if j == i + 1:
-                raise ParseError("dangling type-variable quote", line, col)
-            tokens.append(Token("TYVAR", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token("PUNCT", punct, start_line, start_col))
-                col += len(punct)
-                i += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+        word = m[kind]
+        if kind == "IDENT" and word in KEYWORDS:
+            kind = "KW"
+        tokens.append(Token(kind, word, line, pos - len(word) - line_start + 1))
+    pos = _BLANKS.match(text, pos).end()
+    if pos < len(text):
+        message = ("dangling type-variable quote" if text[pos] == "'"
+                   else f"unexpected character {text[pos]!r}")
+        raise ParseError(message, line, pos - line_start + 1)
+    tokens.append(Token("EOF", "", line, pos - line_start + 1))
     return tokens

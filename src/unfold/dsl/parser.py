@@ -4,6 +4,7 @@ plus call-site annotations, possibly nested) and scenario files."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Union
 
 from .. import terms as T
@@ -16,7 +17,7 @@ from .lexer import Token, strip_wrapper, tokenize
 PATTERNS = ("folds", "iters", "maps", "filters")
 
 #: deepest nesting of terms and types accepted. A deeper input is a
-#: ParseError; at this depth the recursive descent takes about half of
+#: ParseError; at this depth the recursive descent stays well inside
 #: Python's default stack (tree literals are parsed without recursion)
 MAX_NESTING = 40
 
@@ -27,14 +28,30 @@ CALL_CLAUSES = ("inv", "collection", "convergence")
 KNOWN_TYPES = {"seq": 1, "tree": 1, "gt": 0, "vt": 0, "int": 0, "bool": 0,
                "unit": 0}
 
-_UNARY_KWFN = {
-    "len": T.Len, "reverse": T.Reverse, "distinct": T.Distinct,
-    "setof": T.SetOf, "flatten": T.Flatten, "levels": T.Levels,
-    "copy": T.CopyTerm,
+# keyword functions: constructor and number of operands
+_KEYWORD_FN = {
+    **{kw: (ctor, 1) for kw, ctor in (
+        ("len", T.Len), ("reverse", T.Reverse), ("distinct", T.Distinct),
+        ("setof", T.SetOf), ("flatten", T.Flatten), ("levels", T.Levels),
+        ("copy", T.CopyTerm))},
+    **{kw: (ctor, 2) for kw, ctor in (
+        ("prefix", T.Prefix), ("union", T.UnionOp), ("inter", T.InterOp),
+        ("diff", T.DiffOp), ("subset", T.Subset), ("mem", T.Mem),
+        ("add", T.AddElem))},
+    "sum": (T.SumTerm, 3),
 }
-_BINARY_KWFN = {
-    "prefix": T.Prefix, "union": T.UnionOp, "inter": T.InterOp,
-    "diff": T.DiffOp, "subset": T.Subset, "mem": T.Mem, "add": T.AddElem,
+_LITERALS = {"true": partial(T.BoolLit, True), "false": partial(T.BoolLit, False),
+             "emptyset": T.EmptySetLit, "collection": partial(T.Var, "collection")}
+# tokens, besides names and numbers, that start an argument of an application
+_ARGUMENT_WORDS = ("true", "false", "emptyset", "collection", "(")
+
+# binary operators: precedence (higher binds tighter) and constructor
+_CMP, _TIGHTEST = 4, 6
+_BINARY = {
+    "\\/": (2, T.Or), "/\\": (3, T.And),
+    **{op: (_CMP, partial(T.Cmp, op)) for op in ("=", "<>", "<=", "<", ">=", ">")},
+    **{op: (prec, partial(T.Arith, op))
+       for op, prec in (("+", 5), ("-", 5), ("*", _TIGHTEST))},
 }
 
 
@@ -126,6 +143,9 @@ class SpecFile:
 
 
 class _Parser:
+    """Token tests go by text alone: a word is ``KW`` exactly when its text is
+    in ``KEYWORDS``, and punctuation is never a word."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -133,191 +153,162 @@ class _Parser:
 
     # -- stream helpers --------------------------------------------------------
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.pos]
-
     def error(self, message: str):
-        raise ParseError(message, self.tok.line, self.tok.column)
+        tok = self.tokens[self.pos]
+        raise ParseError(message, tok.line, tok.column)
+
+    def unexpected(self, expected: str):
+        self.error(f"expected {expected}, found {self.tokens[self.pos].text!r}")
 
     def advance(self) -> Token:
-        tok = self.tok
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        return self.tok.kind == kind and (text is None or self.tok.text == text)
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
 
-    def at_punct(self, text: str) -> bool:
-        return self.at("PUNCT", text)
+    def at_kind(self, kind: str) -> bool:
+        return self.tokens[self.pos].kind == kind
 
-    def at_kw(self, text: str) -> bool:
-        return self.at("KW", text)
-
-    def eat(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self.at(kind, text):
-            expected = text if text is not None else kind
-            self.error(f"expected {expected!r}, found {self.tok.text!r}")
-        return self.advance()
+    def eat(self, text: str) -> None:
+        if self.tokens[self.pos].text != text:
+            self.unexpected(repr(text))
+        self.pos += 1
 
     def eat_ident(self, what: str = "identifier") -> str:
-        if not self.at("IDENT"):
-            self.error(f"expected {what}, found {self.tok.text!r}")
+        if self.tokens[self.pos].kind != "IDENT":
+            self.unexpected(what)
         return self.advance().text
 
-    def nested(self, parse: Callable[[], object]):
-        """``parse()``, one level of nesting deeper."""
+    def eat_int(self) -> int:
+        if self.tokens[self.pos].kind != "INT":
+            self.unexpected("'INT'")
+        return int(self.advance().text)
+
+    def comma_separated(self, parse: Callable[[], object]) -> list:
+        items = [parse()]
+        while self.at(","):
+            self.pos += 1
+            items.append(parse())
+        return items
+
+    def nested(self, parse: Callable[..., object], *args):
+        """``parse(*args)``, one level of nesting deeper."""
         if self.depth == MAX_NESTING:
             self.error(f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
-        result = parse()
+        result = parse(*args)
         self.depth -= 1
         return result
 
     def expect_eof(self):
-        if not self.at("EOF"):
-            self.error(f"unexpected trailing input {self.tok.text!r}")
+        if not self.at_kind("EOF"):
+            self.error(f"unexpected trailing input {self.tokens[self.pos].text!r}")
 
     # -- terms ------------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        return self.nested(self._parse_implies)
+        return self.nested(self._parse_expr, 1)
+
+    def _parse_expr(self, level: int) -> Term:
+        """Precedence climbing: the operators of ``_BINARY`` that bind at
+        least as tight as ``level``, and '->' at level 1. Quantifiers, 'let'
+        and 'not' may stand where an operand of a comparison or looser may;
+        after one, as after a comparison, only looser operators follow."""
+        tokens = self.tokens
+        text = tokens[self.pos].text
+        if level <= _CMP and text in ("forall", "let", "not"):
+            if text == "not":
+                self.pos += 1
+                left = T.Not(self.nested(self._parse_expr, _CMP))
+            else:
+                left = self._parse_forall() if text == "forall" else self._parse_let()
+            limit = _CMP - 1
+        else:
+            left, limit = self._parse_application(), _TIGHTEST
+        while True:
+            text = tokens[self.pos].text
+            if text == "->" and level == 1:
+                self.pos += 1
+                return T.Implies(left, self.nested(self._parse_expr, 1))
+            op = _BINARY.get(text)
+            if op is None or not level <= op[0] <= limit:
+                return left
+            self.pos += 1
+            prec, build = op
+            left = build(left, self._parse_expr(prec + 1))
+            limit = prec - 1 if prec == _CMP else prec
 
     def _parse_forall(self) -> Term:
-        self.eat("KW", "forall")
+        self.eat("forall")
         var = self.eat_ident("quantified variable")
-        self.eat("PUNCT", ".")
-        if self.at_kw("mem"):
-            self.advance()
+        self.eat(".")
+        if self.at("mem"):
+            self.pos += 1
             bound_var = self.eat_ident("quantified variable")
             if bound_var != var:
                 self.error(f"quantifier over {var!r} must bound {var!r}, "
                            f"found {bound_var!r}")
             coll = self._parse_postfix()
-            self.eat("PUNCT", "->")
+            self.eat("->")
             return T.ForallMem(var, coll, self.parse_term())
-        lo = self._parse_additive()
-        if not self.at_punct("<="):
+        lo = self._parse_expr(_CMP + 1)
+        if not self.at("<="):
             self.error("quantifier must be bounded: expected "
                        "'lo <= var < hi' or 'mem var coll'")
-        self.advance()
+        self.pos += 1
         mid = self.eat_ident("quantified variable")
         if mid != var:
             self.error(f"quantifier over {var!r} must bound {var!r}, "
                        f"found {mid!r}")
-        self.eat("PUNCT", "<")
-        hi = self._parse_additive()
-        self.eat("PUNCT", "->")
+        self.eat("<")
+        hi = self._parse_expr(_CMP + 1)
+        self.eat("->")
         return T.ForallRange(var, lo, hi, self.parse_term())
 
     def _parse_let(self) -> Term:
-        self.eat("KW", "let")
-        self.eat("PUNCT", "(")
-        names = [self.eat_ident()]
-        while self.at_punct(","):
-            self.advance()
-            names.append(self.eat_ident())
-        self.eat("PUNCT", ")")
-        self.eat("PUNCT", "=")
+        self.eat("let")
+        self.eat("(")
+        names = self.comma_separated(self.eat_ident)
+        self.eat(")")
+        self.eat("=")
         rhs = self.parse_term()
-        self.eat("KW", "in")
+        self.eat("in")
         body = self.parse_term()
         return T.LetTuple(tuple(names), rhs, body)
 
-    def _parse_implies(self) -> Term:
-        left = self._parse_or()
-        if self.at_punct("->"):
-            self.advance()
-            return T.Implies(left, self.nested(self._parse_implies))
-        return left
-
-    def _parse_or(self) -> Term:
-        left = self._parse_and()
-        while self.at_punct("\\/"):
-            self.advance()
-            left = T.Or(left, self._parse_and())
-        return left
-
-    def _parse_and(self) -> Term:
-        left = self._parse_not()
-        while self.at_punct("/\\"):
-            self.advance()
-            left = T.And(left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> Term:
-        # quantifiers and let bind loosest but may appear as (final)
-        # operands of the connectives, e.g. `len v <= len s /\ forall ...`
-        if self.at_kw("forall"):
-            return self._parse_forall()
-        if self.at_kw("let"):
-            return self._parse_let()
-        if self.at_kw("not"):
-            self.advance()
-            return T.Not(self.nested(self._parse_not))
-        return self._parse_cmp()
-
-    def _parse_cmp(self) -> Term:
-        left = self._parse_additive()
-        for op in ("=", "<>", "<=", "<", ">=", ">"):
-            if self.at_punct(op):
-                self.advance()
-                return T.Cmp(op, left, self._parse_additive())
-        return left
-
-    def _parse_additive(self) -> Term:
-        left = self._parse_mult()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
-            left = T.Arith(op, left, self._parse_mult())
-        return left
-
-    def _parse_mult(self) -> Term:
-        left = self._parse_application()
-        while self.at_punct("*"):
-            self.advance()
-            left = T.Arith("*", left, self._parse_application())
-        return left
-
     def _parse_application(self) -> Term:
-        if self.at("KW") and self.tok.text in _UNARY_KWFN:
-            ctor = _UNARY_KWFN[self.advance().text]
-            return ctor(self._parse_postfix())
-        if self.at("KW") and self.tok.text in _BINARY_KWFN:
-            ctor = _BINARY_KWFN[self.advance().text]
-            first = self._parse_postfix()
-            second = self._parse_postfix()
-            return ctor(first, second)
-        if self.at_kw("sum"):
-            self.advance()
-            fn = self._parse_postfix()
-            lo = self._parse_postfix()
-            hi = self._parse_postfix()
-            return T.SumTerm(fn, lo, hi)
+        tokens = self.tokens
+        keyword_fn = _KEYWORD_FN.get(tokens[self.pos].text)
+        if keyword_fn is not None:
+            self.pos += 1
+            ctor, arity = keyword_fn
+            return ctor(*[self._parse_postfix() for _ in range(arity)])
         head = self._parse_postfix()
         args = []
-        while self._at_argument_start():
+        while (tokens[self.pos].kind in ("IDENT", "INT")
+               or tokens[self.pos].text in _ARGUMENT_WORDS):
             args.append(self._parse_postfix())
         return T.App(head, tuple(args)) if args else head
 
-    def _at_argument_start(self) -> bool:
-        if self.tok.kind in ("IDENT", "INT"):
-            return True
-        if self.at("KW") and self.tok.text in ("true", "false", "emptyset",
-                                               "collection"):
-            return True
-        return self.at_punct("(")
-
     def _parse_postfix(self) -> Term:
-        term = self._parse_atom()
+        tok = self.tokens[self.pos]
+        if tok.kind == "IDENT":
+            self.pos += 1
+            term = T.Var(tok.text)
+        elif tok.kind == "INT":
+            self.pos += 1
+            term = T.IntLit(int(tok.text))
+        else:
+            term = self._parse_atom()
         while True:
-            if self.at_punct("["):
-                self.advance()
+            if self.at("["):
+                self.pos += 1
                 index = self.parse_term()
-                self.eat("PUNCT", "]")
+                self.eat("]")
                 term = T.Index(term, index)
-            elif self.at_punct("."):
-                self.advance()
+            elif self.at("."):
+                self.pos += 1
                 name = self.eat_ident("field name ('dom' or 'suc')")
                 if name not in ("dom", "suc"):
                     self.error(f"unknown field '.{name}', expected "
@@ -327,84 +318,57 @@ class _Parser:
                 return term
 
     def _parse_atom(self) -> Term:
-        if self.at("INT"):
-            return T.IntLit(int(self.advance().text))
-        if self.at_punct("-"):
-            self.advance()
-            return T.IntLit(-int(self.eat("INT").text))
-        if self.at_kw("true"):
-            self.advance()
-            return T.BoolLit(True)
-        if self.at_kw("false"):
-            self.advance()
-            return T.BoolLit(False)
-        if self.at_kw("emptyset"):
-            self.advance()
-            return T.EmptySetLit()
-        if self.at_kw("collection"):
-            self.advance()
-            return T.Var("collection")
-        if self.at("IDENT"):
-            return T.Var(self.advance().text)
-        if self.at_punct("["):
-            self.advance()
-            items = []
-            if not self.at_punct("]"):
-                items.append(self.parse_term())
-                while self.at_punct(","):
-                    self.advance()
-                    items.append(self.parse_term())
-            self.eat("PUNCT", "]")
+        """Any atom but a name or a number, which ``_parse_postfix`` reads."""
+        text = self.tokens[self.pos].text
+        if text in _LITERALS:
+            self.pos += 1
+            return _LITERALS[text]()
+        if text == "-":
+            self.pos += 1
+            return T.IntLit(-self.eat_int())
+        if text == "[":
+            self.pos += 1
+            items = [] if self.at("]") else self.comma_separated(self.parse_term)
+            self.eat("]")
             return T.SeqLit(tuple(items))
-        if self.at_punct("("):
-            self.advance()
-            if self.at_kw("fun"):
+        if text == "(":
+            self.pos += 1
+            if self.at("fun"):
                 return self._parse_lambda_tail()
-            if self.at_punct(")"):
-                self.advance()
+            if self.at(")"):
+                self.pos += 1
                 return T.UnitLit()
-            first = self.parse_term()
-            if self.at_punct(","):
-                items = [first]
-                while self.at_punct(","):
-                    self.advance()
-                    items.append(self.parse_term())
-                self.eat("PUNCT", ")")
-                return T.TupleTerm(tuple(items))
-            self.eat("PUNCT", ")")
-            return first
-        self.error(f"expected a term, found {self.tok.text!r}")
+            items = self.comma_separated(self.parse_term)
+            self.eat(")")
+            return T.TupleTerm(tuple(items)) if len(items) > 1 else items[0]
+        self.unexpected("a term")
 
     def _parse_lambda_tail(self) -> Term:
         """Parses ``fun params -> body )`` (the opening paren was consumed)."""
-        self.eat("KW", "fun")
+        self.eat("fun")
         params = []
-        while not self.at_punct("->"):
-            if self.at("IDENT"):
+        while not self.at("->"):
+            if self.at_kind("IDENT"):
                 params.append(T.VarPat(self.advance().text))
-            elif self.at_punct("("):
-                self.advance()
-                names = [self.eat_ident()]
-                while self.at_punct(","):
-                    self.advance()
-                    names.append(self.eat_ident())
-                self.eat("PUNCT", ")")
+            elif self.at("("):
+                self.pos += 1
+                names = self.comma_separated(self.eat_ident)
+                self.eat(")")
                 params.append(T.TuplePat(tuple(names)))
             else:
-                self.error(f"expected a parameter, found {self.tok.text!r}")
+                self.unexpected("a parameter")
         if not params:
             self.error("lambda needs at least one parameter")
-        self.eat("PUNCT", "->")
+        self.eat("->")
         body = self.parse_term()
-        self.eat("PUNCT", ")")
+        self.eat(")")
         return T.Lambda(tuple(params), body)
 
     # -- type expressions -------------------------------------------------------
 
     def _at_type_name(self) -> bool:
         # 'tree' is also a literal keyword; accept it in type positions
-        return (self.at("IDENT")
-                or (self.at("KW") and self.tok.text in KNOWN_TYPES))
+        return self.at_kind("IDENT") or self.tokens[self.pos].text in KNOWN_TYPES
 
     def parse_type(self) -> TypeExpr:
         ty = self._parse_type_atom()
@@ -417,39 +381,39 @@ class _Parser:
         return ty
 
     def _parse_type_atom(self) -> TypeExpr:
-        if self.at("TYVAR"):
+        if self.at_kind("TYVAR"):
             return TVar(self.advance().text)
         if self._at_type_name():
             name = self.advance().text
             if KNOWN_TYPES.get(name) != 0:
                 raise SemanticError(f"unknown base type {name!r}")
             return TName(name)
-        if self.at_punct("("):
-            self.advance()
+        if self.at("("):
+            self.pos += 1
             parts = [self.nested(self.parse_type)]
-            while self.at_punct("*"):
-                self.advance()
+            while self.at("*"):
+                self.pos += 1
                 parts.append(self.nested(self.parse_type))
-            self.eat("PUNCT", ")")
+            self.eat(")")
             return parts[0] if len(parts) == 1 else TTuple(tuple(parts))
-        self.error(f"expected a type, found {self.tok.text!r}")
+        self.unexpected("a type")
 
     # -- declaration blocks -----------------------------------------------------
 
     def parse_decl_block(self) -> DeclSpec:
         result = self.eat_ident("result name")
-        self.eat("PUNCT", "=")
+        self.eat("=")
         name = self.eat_ident("iterator name")
         args = []
-        while self.at("IDENT"):
+        while self.at_kind("IDENT"):
             args.append(self.advance().text)
         if not args:
             self.error("declaration header needs at least one argument")
         pattern = self._parse_pattern()
         clauses: dict[str, Term] = {}
         typing: dict[str, object] = {}
-        while self.at_punct("~") or self.at_kw("with"):
-            if self.at_punct("~"):
+        while self.at("~") or self.at("with"):
+            if self.at("~"):
                 key, value = self._parse_clause(DECL_CLAUSES, "a declaration")
                 if key in clauses:
                     raise SemanticError(f"duplicate clause ~{key}")
@@ -480,51 +444,41 @@ class _Parser:
                         accumulator=accumulator)
 
     def _parse_pattern(self) -> str:
-        if self.at("KW") and self.tok.text in PATTERNS:
+        if self.tokens[self.pos].text in PATTERNS:
             return self.advance().text
-        self.error(f"expected an iteration pattern keyword "
-                   f"({'|'.join(PATTERNS)}), found {self.tok.text!r}")
+        self.unexpected(f"an iteration pattern keyword ({'|'.join(PATTERNS)})")
 
     def _parse_clause(self, valid: tuple, where: str) -> tuple[str, Term]:
-        self.eat("PUNCT", "~")
-        key = self.tok.text
-        if self.tok.kind not in ("IDENT", "KW") or key not in valid:
+        self.eat("~")
+        key = self.tokens[self.pos].text
+        if key not in valid:
             keys = " ".join(f"~{k}" for k in valid)
             self.error(f"unknown clause ~{key}:, valid clause keys for "
                        f"{where} are: {keys}")
-        self.advance()
-        self.eat("PUNCT", ":")
+        self.pos += 1
+        self.eat(":")
         return key, self.parse_term()
 
     def _parse_with_clause(self, typing: dict) -> None:
-        self.eat("KW", "with")
+        self.eat("with")
         while True:
-            if self.at_kw("structure"):
-                self.advance()
-                self.eat("PUNCT", "=")
-                typing["structure"] = self.parse_type()
-            elif self.at_kw("elt"):
-                self.advance()
-                self.eat("PUNCT", "=")
-                typing["elt"] = self.parse_type()
-            elif self.at_kw("accumulator"):
-                self.advance()
-                self.eat("PUNCT", "=")
-                typing["accumulator"] = self.eat_ident("accumulator name")
-            else:
-                self.error(f"expected structure/elt/accumulator binding, "
-                           f"found {self.tok.text!r}")
-            if self.at_punct(","):
-                self.advance()
-                continue
-            return
+            key = self.tokens[self.pos].text
+            if key not in ("structure", "elt", "accumulator"):
+                self.unexpected("structure/elt/accumulator binding")
+            self.pos += 1
+            self.eat("=")
+            typing[key] = (self.eat_ident("accumulator name")
+                           if key == "accumulator" else self.parse_type())
+            if not self.at(","):
+                return
+            self.pos += 1
 
     # -- call blocks ------------------------------------------------------------
 
     def parse_call_block(self) -> CallSpec:
         pattern = self._parse_pattern()
         clauses: dict[str, Term] = {}
-        while self.at_punct("~"):
+        while self.at("~"):
             key, value = self._parse_clause(CALL_CLAUSES, "a call site")
             if key in clauses:
                 raise SemanticError(f"duplicate clause ~{key}")
@@ -539,21 +493,21 @@ class _Parser:
     # -- literal collection values ----------------------------------------------
 
     def parse_graph_literal(self):
-        self.eat("KW", "graph")
-        self.eat("PUNCT", "{")
-        self.eat("KW", "vertices")
-        self.eat("PUNCT", ":")
+        self.eat("graph")
+        self.eat("{")
+        self.eat("vertices")
+        self.eat(":")
         vertices = []
-        while self.at("INT") or self.at_punct("-"):
+        while self.at_kind("INT") or self.at("-"):
             vertices.append(self._parse_int())
         edges = []
-        while self.at_kw("edge"):
-            self.advance()
-            self.eat("PUNCT", ":")
+        while self.at("edge"):
+            self.pos += 1
+            self.eat(":")
             u = self._parse_int()
             w = self._parse_int()
             edges.append((u, w))
-        self.eat("PUNCT", "}")
+        self.eat("}")
         from ..graphs import graph_of  # graphs imports this module
         try:
             return graph_of(vertices, edges)
@@ -561,13 +515,13 @@ class _Parser:
             self.error(f"invalid graph literal: {exc}")
 
     def _parse_int(self) -> int:
-        if self.at_punct("-"):
-            self.advance()
-            return -int(self.eat("INT").text)
-        return int(self.eat("INT").text)
+        if self.at("-"):
+            self.pos += 1
+            return -self.eat_int()
+        return self.eat_int()
 
     def parse_tree_literal(self):
-        self.eat("KW", "tree")
+        self.eat("tree")
         return self._parse_tree_expr()
 
     def _parse_tree_expr(self):
@@ -575,16 +529,16 @@ class _Parser:
         literal does not exhaust the Python stack."""
         open_nodes: list = []  # per unclosed node: [] or [left, value]
         while True:
-            if not self.at_kw("leaf"):
-                self.eat("PUNCT", "(")
-                self.eat("KW", "node")
+            if not self.at("leaf"):
+                self.eat("(")
+                self.eat("node")
                 open_nodes.append([])
                 continue
-            self.advance()
+            self.pos += 1
             tree = LEAF
             while open_nodes and open_nodes[-1]:
                 left, value = open_nodes.pop()
-                self.eat("PUNCT", ")")
+                self.eat(")")
                 tree = Node(left, value, tree)
             if not open_nodes:
                 return tree
@@ -596,36 +550,36 @@ class _Parser:
         out = SpecFile()
         decl_names = set()
         call_names = set()
-        while not self.at("EOF"):
-            if self.at_kw("decl"):
-                self.advance()
+        while not self.at_kind("EOF"):
+            if self.at("decl"):
+                self.pos += 1
                 name = self.eat_ident("declaration name")
                 if name in decl_names:
                     raise SemanticError(f"duplicate declaration {name!r}")
                 decl_names.add(name)
-                self.eat("PUNCT", "{")
+                self.eat("{")
                 decl = self.parse_decl_block()
-                self.eat("PUNCT", "}")
+                self.eat("}")
                 out.decls.append((name, decl))
-            elif self.at_kw("call"):
-                self.advance()
+            elif self.at("call"):
+                self.pos += 1
                 name = self.eat_ident("call name")
                 if name in call_names:
                     raise SemanticError(f"duplicate call {name!r}")
                 call_names.add(name)
-                self.eat("KW", "uses")
+                self.eat("uses")
                 decl_name = self.eat_ident("declaration name")
                 within = None
-                if self.at_kw("within"):
-                    self.advance()
+                if self.at("within"):
+                    self.pos += 1
                     within = self.eat_ident("enclosing call name")
-                self.eat("PUNCT", "{")
+                self.eat("{")
                 call = self.parse_call_block()
-                self.eat("PUNCT", "}")
+                self.eat("}")
                 out.calls.append(Invocation(name=name, decl_name=decl_name,
                                             call=call, within=within))
             else:
-                self.error(f"expected 'decl' or 'call', found {self.tok.text!r}")
+                self.unexpected("'decl' or 'call'")
         decls = dict(out.decls)
         for inv in out.calls:
             if inv.decl_name not in decls:
@@ -644,36 +598,35 @@ class _Parser:
 
     def parse_scenario(self) -> Scenario:
         scenario = Scenario()
-        while not self.at("EOF"):
-            if self.at_kw("collection"):
-                self.advance()
+        while not self.at_kind("EOF"):
+            if self.at("collection"):
+                self.pos += 1
                 name = self.eat_ident("collection name")
                 if name in scenario.collections:
                     raise SemanticError(f"duplicate collection {name!r}")
-                self.eat("PUNCT", "=")
+                self.eat("=")
                 scenario.collections[name] = self._parse_collection_value(
                     scenario)
-            elif self.at_kw("decl"):
-                self.advance()
+            elif self.at("decl"):
+                self.pos += 1
                 name = self.eat_ident("declaration name")
                 if name in scenario.decls:
                     raise SemanticError(f"duplicate declaration {name!r}")
-                self.eat("PUNCT", "{")
+                self.eat("{")
                 scenario.decls[name] = self.parse_decl_block()
-                self.eat("PUNCT", "}")
-            elif self.at_kw("call"):
+                self.eat("}")
+            elif self.at("call"):
                 scenario.invocations.append(self._parse_invocation(scenario))
             else:
-                self.error(f"expected 'collection', 'decl' or 'call', "
-                           f"found {self.tok.text!r}")
+                self.unexpected("'collection', 'decl' or 'call'")
         return scenario
 
     def _parse_collection_value(self, scenario: Scenario) -> Value:
-        if self.at_kw("graph"):
+        if self.at("graph"):
             return self.parse_graph_literal()
-        if self.at_kw("tree"):
+        if self.at("tree"):
             return self.parse_tree_literal()
-        if self.at_punct("["):
+        if self.at("["):
             term = self._parse_atom()
             try:
                 return eval_term(term, dict(scenario.collections))
@@ -683,46 +636,37 @@ class _Parser:
                    "blocks or tree expressions")
 
     def _parse_value_or_term(self) -> Term:
-        if self.at_kw("graph"):
+        if self.at("graph"):
             return T.ConstValue(self.parse_graph_literal())
-        if self.at_kw("tree"):
+        if self.at("tree"):
             return T.ConstValue(self.parse_tree_literal())
         return self.parse_term()
 
     def _parse_invocation(self, scenario: Scenario) -> Invocation:
-        self.eat("KW", "call")
+        self.eat("call")
         name = self.eat_ident("call name")
         if any(inv.name == name for inv in scenario.invocations):
             raise SemanticError(f"duplicate call {name!r}")
-        self.eat("KW", "uses")
+        self.eat("uses")
         decl_name = self.eat_ident("declaration name")
         if decl_name not in scenario.decls:
             raise SemanticError(
                 f"call {name!r} uses unknown declaration {decl_name!r} "
                 f"(declarations must come first)")
-        self.eat("PUNCT", "{")
+        self.eat("{")
         call = self.parse_call_block()
-        consumer = None
-        init = None
-        expect = None
-        while not self.at_punct("}"):
-            if self.at_kw("consumer"):
-                self.advance()
-                self.eat("PUNCT", "=")
-                consumer = self._parse_consumer()
-            elif self.at_kw("init"):
-                self.advance()
-                self.eat("PUNCT", "=")
-                init = self._parse_value_or_term()
-            elif self.at_kw("expect"):
-                self.advance()
-                self.eat("PUNCT", "=")
-                expect = self._parse_value_or_term()
-            else:
-                self.error(f"expected consumer/init/expect or '}}', found "
-                           f"{self.tok.text!r}")
-            self.eat("PUNCT", ";")
-        self.eat("PUNCT", "}")
+        items: dict = {}
+        while not self.at("}"):
+            key = self.tokens[self.pos].text
+            if key not in ("consumer", "init", "expect"):
+                self.unexpected("consumer/init/expect or '}'")
+            self.pos += 1
+            self.eat("=")
+            items[key] = (self._parse_consumer() if key == "consumer"
+                          else self._parse_value_or_term())
+            self.eat(";")
+        self.eat("}")
+        consumer, init, expect = map(items.get, ("consumer", "init", "expect"))
         decl = scenario.decls[decl_name]
         if call.pattern != decl.pattern:
             raise SemanticError(
@@ -739,23 +683,23 @@ class _Parser:
                           consumer=consumer, init=init, expect=expect)
 
     def _parse_consumer(self) -> ConsumerSpec:
-        if self.at_punct("("):
+        if self.at("("):
             term = self.parse_term()
             if not isinstance(term, T.Lambda):
                 raise SemanticError("consumer must be a builtin name or a "
                                     "lambda")
             return ConsumerSpec(kind="lambda", term=term)
-        if self.tok.kind not in ("IDENT", "KW"):
-            self.error(f"expected a consumer, found {self.tok.text!r}")
+        if self.tokens[self.pos].kind not in ("IDENT", "KW"):
+            self.unexpected("a consumer")
         pieces = [self.advance().text]
-        while self.at_punct("-"):
-            self.advance()
-            if self.at("IDENT") or self.at("KW"):
+        while self.at("-"):
+            self.pos += 1
+            if self.tokens[self.pos].kind in ("IDENT", "KW"):
                 pieces.append(self.advance().text)
             else:
                 self.error("dangling '-' in consumer name")
         args = []
-        while not self.at_punct(";"):
+        while not self.at(";"):
             args.append(self._parse_postfix())
         return ConsumerSpec(kind="builtin", name="-".join(pieces),
                             args=tuple(args))

@@ -19,7 +19,8 @@ from unfold import (
     stack_of_seq,
     tree_cursor,
 )
-from unfold.containers import _DistinctMembers, _PrefixOf
+from unfold import containers
+from unfold.containers import BinaryTree, _DistinctMembers, _PrefixOf
 from unfold.dsl import parse_term_text
 from unfold.terms import apply_lambda, eval_term
 from unfold.values import value_key
@@ -295,3 +296,71 @@ class TestNativePredicatesMatchTheirFormulas:
             assert native_complete(v) is apply_lambda(complete, [v])
             if k and native(v[:-1]):
                 assert native.step(k - 1, v[-1]) is native(v)
+
+
+class TestTreeWalkMemo:
+    """``flatten`` and ``levels`` walk a tree once and keep the result: the
+    demo's tree contracts name ``flatten collection`` at every check."""
+
+    CONTRACTS = {walk: tuple(text.replace("WALK", walk) for text in (
+        "(fun v -> len v <= len (WALK collection) /\\"
+        " forall i. 0 <= i < len v -> v[i] = (WALK collection)[i])",
+        "(fun v -> len v = len (WALK collection))",
+        "(fun c v -> len (WALK c) - len v)")) for walk in ("flatten", "levels")}
+
+    def fold(self, tree, walk, fault=None):
+        """Count the elements of ``tree`` under the demo's contract for
+        ``walk``; ``fault`` = (step, "element" | "consumer") plants one."""
+        permitted, complete, convergence = (
+            eval_term(parse_term_text(text), {"collection": tree})
+            for text in self.CONTRACTS[walk])
+        elems = list(getattr(tree, walk)())
+        bad_step, kind = fault or (None, None)
+        if kind == "element":
+            elems.insert(bad_step, ("planted",))
+        step = lambda a, x: a + (2 if kind == "consumer" and a == bad_step else 1)
+        inv = eval_term(parse_term_text("(fun v a -> a = len v)"), {})
+        cursor = create_cursor(elems, lambda v: apply_lambda(permitted, [v]),
+                               lambda v: apply_lambda(complete, [v]))
+        try:
+            return checked_fold(step, 0, cursor, ClientContract(
+                inv=lambda v, a: apply_lambda(inv, [v, a]),
+                convergence=lambda c, v: apply_lambda(convergence, [c, v]),
+                collection=tree))
+        except ContractViolation as exc:
+            return exc.kind, exc.step, str(exc)
+
+    @pytest.mark.parametrize("walk, helper", [("flatten", "_in_order"),
+                                              ("levels", "_by_level")])
+    def test_a_checked_fold_walks_the_tree_once(self, walk, helper, monkeypatch):
+        walked = []
+        original = getattr(containers, helper)
+        monkeypatch.setattr(containers, helper,
+                            lambda t: walked.append(t) or original(t))
+        tree = random_tree(random.Random(9), 2000)
+        expected = 2000 if walk == "flatten" else tree_height(tree)
+        assert self.fold(tree, walk) == expected
+        assert walked == [tree]
+
+    @pytest.mark.parametrize("walk", ["flatten", "levels"])
+    def test_faults_at_every_step_match_an_unmemoised_tree(self, walk, monkeypatch):
+        make = lambda: random_tree(random.Random(4), 30)
+        n = len(getattr(make(), walk)())
+        faults = ([(k, "element") for k in range(n + 1)]
+                  + [(k, "consumer") for k in range(n)])
+        memoised = [self.fold(make(), walk, fault) for fault in faults]
+        monkeypatch.setattr(BinaryTree, walk, {
+            "flatten": lambda t: containers._in_order(t),
+            "levels": lambda t: containers._by_level(t)}[walk])
+        unmemoised = [self.fold(make(), walk, fault) for fault in faults]
+        assert memoised == unmemoised
+        assert {outcome[0] for outcome in memoised} == {
+            ViolationKind.PERMITTED_VIOLATED, ViolationKind.INVARIANT_VIOLATED}
+
+    def test_equality_and_hashing_ignore_the_kept_walks(self):
+        walked = random_tree(random.Random(2), 50)
+        walked.flatten(), walked.levels()
+        fresh = random_tree(random.Random(2), 50)
+        assert walked == fresh and hash(walked) == hash(fresh)
+        assert repr(walked) == repr(fresh)
+        assert value_key(walked) == value_key(fresh)

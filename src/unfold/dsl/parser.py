@@ -627,7 +627,9 @@ class _Parser:
         if self.at("tree"):
             return self.parse_tree_literal()
         if self.at("["):
-            term = self._parse_atom()
+            term = self._parse_atom()  # a SeqLit
+            if all(type(item) is T.IntLit for item in term.items):
+                return tuple(item.value for item in term.items)
             try:
                 return eval_term(term, dict(scenario.collections))
             except Exception as exc:

@@ -47,9 +47,21 @@ class GraphModel:
     identical object in every later graph. ``g.suc`` in the term language
     is one callable per successor map. A graph holds only values with a
     structural key and never changes, so it is closed (``_closed_``).
+
+    Graphs built from one another share a change log, as the views of a
+    visited sequence share their log: ``_log`` is an append-only list of
+    ``(source key, target key)`` pairs, one per edge that :func:`add_edge`
+    added, and the graph has the first ``_at`` of them. :func:`add_vertex`
+    and :meth:`copy` change no row, so they keep their graph's place.
+    :func:`add_edge` appends to the log when its graph is the log's last
+    member; a graph forked from an older member starts a log of its own.
+    The edges by which two members of one log differ are a slice of it
+    (:meth:`_delta_`), so a check that read some rows of one graph can tell
+    which of them differ in the other without reading any. Each graph keeps
+    its whole log alive.
     """
 
-    __slots__ = ("dom", "_suc", "_suc_by_key", "_suc_fn")
+    __slots__ = ("dom", "_suc", "_suc_by_key", "_suc_fn", "_log", "_at")
     _closed_ = True
 
     def __init__(self, dom: Iterable[Value] = (),
@@ -76,13 +88,16 @@ class GraphModel:
         self._suc = tuple(entries)
         self._suc_by_key = {value_key(v): targets for v, targets in entries}
         self._suc_fn = None
+        self._log, self._at = [], 0
 
     @classmethod
     def _sharing(cls, dom: FiniteSet, suc: tuple, suc_by_key: dict,
-                 suc_fn: "Successors | None" = None) -> "GraphModel":
-        """A graph made of these parts, shared, not copied or checked."""
+                 suc_fn: "Successors | None", log: list, at: int) -> "GraphModel":
+        """A graph made of these parts, shared, not copied or checked, at
+        place ``at`` of change log ``log``."""
         g = object.__new__(cls)
         g.dom, g._suc, g._suc_by_key, g._suc_fn = dom, suc, suc_by_key, suc_fn
+        g._log, g._at = log, at
         return g
 
     def suc(self, v: Value) -> FiniteSet:
@@ -100,7 +115,16 @@ class GraphModel:
 
     def copy(self) -> "GraphModel":
         return GraphModel._sharing(self.dom, self._suc, self._suc_by_key,
-                                   self.field_suc())
+                                   self.field_suc(), self._log, self._at)
+
+    def _delta_(self, other: "GraphModel") -> "set | None":
+        """The edges ``(source key, target key)`` that one of the two graphs
+        has and the other lacks, when both are members of one change log;
+        None when they are not."""
+        if other._log is not self._log:
+            return None
+        lo, hi = sorted((self._at, other._at))
+        return set(self._log[lo:hi])
 
     def edges(self) -> tuple:
         return tuple((v, t) for v, targets in self._suc for t in targets)
@@ -152,14 +176,16 @@ def add_vertex(g: GraphModel, v: Value) -> GraphModel:
     dom = g.dom.add(v)
     if dom is g.dom:
         return g
-    return GraphModel._sharing(dom, g._suc, g._suc_by_key, g.field_suc())
+    return GraphModel._sharing(dom, g._suc, g._suc_by_key, g.field_suc(),
+                               g._log, g._at)
 
 
 def add_edge(g: GraphModel, v: Value, w: Value) -> GraphModel:
     """New graph with the edge v->w added. Both endpoints must already be
     vertices, otherwise the closure invariant would break. Only the row of
     ``v``, found by its key, is replaced; ``g`` itself when the edge is
-    already there."""
+    already there. The edge goes into ``g``'s change log, or into a new one
+    when ``g`` is not the last member of its log."""
     if v not in g.dom:
         raise PreconditionError(f"add_edge: source {v!r} is not a vertex")
     if w not in g.dom:
@@ -177,7 +203,11 @@ def add_edge(g: GraphModel, v: Value, w: Value) -> GraphModel:
         suc = suc[:at] + ((v, new_row),) + suc[at:]
     suc_by_key = dict(g._suc_by_key)
     suc_by_key[key] = new_row
-    return GraphModel._sharing(g.dom, suc, suc_by_key)
+    log = g._log
+    if g._at != len(log):
+        log = []
+    log.append((key, value_key(w)))
+    return GraphModel._sharing(g.dom, suc, suc_by_key, None, log, len(log))
 
 
 def copy(g: GraphModel) -> GraphModel:

@@ -73,25 +73,43 @@ A set quantifier ``forall x in S. body`` compiled outside any quantifier
 body remembers its bindings, after the same paper (the graph step
 invariants restate the whole graph at every step, while one edge changed).
 Its body must apply no function but graph fields and bind nothing but
-inner quantifier variables, none named ``x``. Evaluating a binding records
-its *observations* in first-evaluation order: each slot of the quantifier's
-own memo it reads, and each maximal field projection (``e.f``, ``e.f a``),
-``mem`` or ``len`` subterm that reads ``x`` and no name bound inside the
-body, which runs once per binding. For each binding that held, the node
-keeps ``x`` and those values; a value that is not closed is never kept.
-A later evaluation reuses such a binding when ``x`` is the identical object,
-every name the body reads directly (outside observations and slots) holds
-the identical closed object (checked, when one changes, as a prefix form
-checks its inputs: a longer view only past the part already checked), and
-each observation, read again in order, gives the identical value (or an
-equal ``int`` or ``bool``; strings are compared by identity, as
-:func:`~unfold.values.value_eq` compares them).
-A mismatch or an error in that re-read means the binding is evaluated in
-full, and a false or raising binding is never kept, so every result, error
-and message is what a fresh evaluation gives. The state is one dict of
-bindings per node, replaced whole at each evaluation, and it keeps the
-values it compared alive: again bounded, and not released when the loop
-ends.
+inner quantifier variables, none named ``x``. A directly nested
+``forall x in A. forall y in B. body`` whose ``B`` does not read ``x`` is
+one such quantifier over the pairs ``(x, y)``, in ``x``-major order; ``B``
+is read once ``A`` is known non-empty, as the nested form reads it.
+
+Each binding records what it reads as *probes*, each a read of one input
+at one key of the binding: ``mem b E`` reads ``E`` at the key of ``b``,
+``N.f b`` reads the row of ``b`` in the graph ``N``, ``mem b (N.f b')``
+the edge from ``b'`` to ``b`` in it, and ``b = E`` whether ``E``'s key is
+``b``'s, where ``b`` and ``b'`` are bound by the quantifier, ``N`` is a
+name and ``E`` reads no name bound in the body; each of the quantifier's
+own hoisted slots is a probe of its whole value. The names the body reads
+directly (outside probes and slots) must hold the identical closed objects
+(checked, when one changes, as a prefix form checks its inputs: a longer
+view only past the part already checked), or every binding is evaluated
+again. The next evaluation reads each probed input again and takes its
+change set from the value it read last: for ``b = E`` the old and the new
+key of ``E``; for ``mem b E`` the keys in one set and not the other
+(:meth:`~unfold.values.FiniteSet._delta_`); for a graph the rows, or the
+edges, by which two members of one change log differ (``_delta_`` in
+:mod:`unfold.graphs`), read off the log without reading a row; nothing for
+the identical closed object. Any other change is unknown, and every
+binding that probed that input is dirty. Each binding that held is
+indexed by the key of each probe it made, so the dirty bindings are the
+index's entries at the changed keys. The evaluation then runs, in domain
+order, only the dirty bindings and those new in the domain; when the
+domains are the identical objects (or hold the identical elements in the
+same order) and nothing is dirty, it visits no binding at all. A binding
+is kept only when it held and its values are closed and, if it probed by
+key, have a structural key;
+a false or raising one is never kept, and the bindings after it are no
+longer known to hold, so every result, error and message is what a fresh
+evaluation gives. The state of one node keeps the bindings that held, the
+last value of each probed input (a graph keeps its whole change log, a
+list of key pairs that grows with its lineage) and the index, a set of
+binding ids per probed key: bounded by the last domains, and not released
+when the loop ends.
 """
 
 from __future__ import annotations
@@ -100,12 +118,13 @@ import operator
 import weakref
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
+from itertools import product
 from typing import Callable, Mapping, Union
 
 from .errors import EvaluationError
 from .values import (
     EMPTY_SET, FiniteSet, SeqView, Value, _Ref, bounded_repr, deref, is_seq,
-    value_eq,
+    set_of, value_eq, value_key,
 )
 
 
@@ -410,7 +429,10 @@ def apply_lambda(f: Union[Closure, Lambda], args: list) -> Value:
         return Closure(f.lam, f.env, supplied)
     env = dict(f.env)
     for pat, value in zip(f.lam.params, supplied):
-        _bind_pattern(env, pat, value)
+        if type(pat) is VarPat:
+            env[pat.name] = value
+        else:
+            _bind_pattern(env, pat, value)
     return compile_term(f.lam.body)(env)
 
 
@@ -453,7 +475,7 @@ def _as_set(v: Value, what: str) -> FiniteSet:
     if isinstance(v, FiniteSet):
         return v
     if is_seq(v):
-        return FiniteSet(v)
+        return set_of(v)
     raise EvaluationError(
         f"{what} expected a set or sequence, got {bounded_repr(v)}")
 
@@ -582,7 +604,7 @@ class _Memo:
                     v = kept[1]
                 else:
                     v = run(env)
-                    closed = _closed_since(raw, kept) and _closed(v)
+                    closed = _closed_since(raw, kept and kept[0]) and _closed(v)
                     last[0] = (raw, v) if closed else None
                 memo[i] = v
             return v
@@ -607,19 +629,18 @@ def _compile_in(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
     that reads no name bound in a scope is a slot of the outermost such
     scope's memo; its own subterms can only hoist further out. Under a
     binding memo (the outermost scope), this is also where the names the
-    body reads directly and its observations are found."""
+    body reads directly and its probes are found."""
     if not scopes or not isinstance(t, Term):
         return compile_term(t)
     top, bound = scopes[0]
     if isinstance(top, _BindingMemo):
-        if isinstance(t, Var):
-            if t.name not in bound:
-                top.fixed.add(t.name)
-        elif top.observes(t, bound):
-            run = top.observe(_compile(t, ((top.quiet, bound),)))
+        run = top.probe(t, bound)
+        if run is not None:
             if len(scopes) > 1:  # invariant in the inner quantifiers
                 return scopes[1][0].slot(run, free_vars(t))
             return run
+        if isinstance(t, Var) and t.name not in bound:
+            top.fixed.add(t.name)
     if isinstance(t, _NEVER_HOISTED):
         return compile_term(t)
     names = free_vars(t)
@@ -627,11 +648,7 @@ def _compile_in(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
         if names.isdisjoint(bound):
             if k:
                 return memo.slot(_compile(t, scopes[:k]), names)
-            # a field of a name is one method call, and a graph keeps its
-            # fields, so there is nothing to gain from keeping it across
-            # entries
-            field = isinstance(t, Field) and isinstance(t.term, Var)
-            run = memo.slot(compile_term(t), None if field else names)
+            run = memo.slot(compile_term(t), _kept_by(t, names))
             if isinstance(memo, _BindingMemo) and len(scopes) > 1:
                 # recorded once per binding, not once per inner binding
                 return scopes[1][0].slot(run, names)
@@ -639,12 +656,20 @@ def _compile_in(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
     return _compile(t, scopes)
 
 
-def _quantifier_body(var: str, body: Term, scopes: Scopes, memo: _Memo = None):
-    """``(enter, body_)`` for a quantifier over ``var``: ``enter(env)`` is a
-    fresh environment for one entry, ``body_`` the body compiled for it,
-    with ``memo`` (a fresh plain one by default) as its own."""
+def _kept_by(t: Term, names: frozenset) -> frozenset | None:
+    """The names whose values decide whether a cached slot of ``t`` keeps
+    its value across entries, or None: a field of a name is one method call,
+    and a graph keeps its fields, so there is nothing to gain from keeping
+    it across entries."""
+    return None if isinstance(t, Field) and isinstance(t.term, Var) else names
+
+
+def _quantifier_body(names: tuple, body: Term, scopes: Scopes, memo: _Memo = None):
+    """``(enter, body_)`` for a quantifier binding ``names``: ``enter(env)``
+    is a fresh environment for one entry, ``body_`` the body compiled for
+    it, with ``memo`` (a fresh plain one by default) as its own."""
     memo = memo or _Memo()
-    body_ = _compile_in(body, _bind(scopes, (var,)) + ((memo, frozenset((var,))),))
+    body_ = _compile_in(body, _bind(scopes, names) + ((memo, frozenset(names)),))
     size = memo.size
     if not size:
         return dict, body_
@@ -658,7 +683,7 @@ def _quantifier_body(var: str, body: Term, scopes: Scopes, memo: _Memo = None):
 
 def _quantifier(var: str, body: Term, scopes: Scopes):
     """``(env, domain) -> bool`` deciding ``forall var in domain. body``."""
-    enter, body_ = _quantifier_body(var, body, scopes)
+    enter, body_ = _quantifier_body((var,), body, scopes)
 
     def forall(env, domain):
         inner_env = enter(env)
@@ -673,70 +698,267 @@ def _quantifier(var: str, body: Term, scopes: Scopes):
 
 # -- set quantifiers that remember their bindings (see the module docstring) --
 
+# How a probe reads its source, and so which of the source's changes it sees.
+_WHOLE, _MEMBER, _VALUE, _ROW, _EDGE = "whole", "member", "value", "row", "edge"
+_KEYLESS = object()  # the key of a value outside value_key's domain
+
+
+def _key_of(v: Value):
+    try:
+        return value_key(v)
+    except EvaluationError:
+        return _KEYLESS
+
+
+def _delta(kind: str, old: Value, new: Value):
+    """The keys at which a probe of ``kind`` may read ``new`` differently
+    from ``old``, or None when they are not known. ``b = E`` can change only
+    for the old and the new key of ``E``; ``mem b E`` only for the keys in
+    one set and not the other; ``N.f b`` and ``mem b (N.f b')`` only for the
+    rows (and the edges) by which two graphs of one change log differ. A
+    source that is the identical object has changed nowhere when it is
+    closed; any other change of a source read whole is unknown."""
+    if new is old:
+        if kind is _VALUE or getattr(type(new), "_closed_", False) or _closed(new):
+            return ()
+        return None
+    if kind is _VALUE:
+        old, new = _key_of(old), _key_of(new)
+        return () if old == new else [k for k in (old, new) if k is not _KEYLESS]
+    if kind is _WHOLE or type(new) is not type(old):
+        return None
+    delta = getattr(new, "_delta_", None)
+    changes = delta(old) if delta is not None else None
+    if changes is None or kind is not _ROW:
+        return changes
+    return {row for row, _ in changes}
+
+
+def _mem(x: Value, c: Value) -> bool:
+    if isinstance(c, FiniteSet):
+        return x in c
+    if is_seq(c):
+        return any(value_eq(x, e) for e in c)
+    raise EvaluationError(f"'mem' expected a set or sequence, got {bounded_repr(c)}")
+
+
+def _domain(c: Value) -> Value:
+    if is_seq(c) or isinstance(c, FiniteSet):
+        return c
+    raise EvaluationError(
+        f"quantifier domain must be a set or sequence, got {bounded_repr(c)}")
+
+
 class _BindingMemo(_Memo):
-    """The cached memo of a ``forall var in S`` body, with what its bindings
-    read. At compile time it collects ``fixed``, the names the body reads
-    directly (outside observations and its own slots), and ``runs``, one
-    compiled form per observation: its own slots, and each maximal field,
-    ``mem`` or ``len`` subterm that reads ``var`` and no name bound inside
-    the body. ``var`` alone needs none: a binding is kept only when its
-    value is closed, so it reads as itself. ``state`` is None or
-    ``(fixed values, held)``, where
-    ``held`` maps ``id(x)`` of each binding that held to ``(x, record)``
-    (which keeps ``x`` alive, so an equal ``id`` means the same object),
-    ``record`` being its observations as pairs ``(compiled form, value)``,
-    in first-evaluation order. While a binding is evaluated, its
-    observations go into a dict from index to value, which keeps that
-    order."""
+    """The cached memo of a set quantifier over ``names`` (one name, or an
+    outer and an inner one), with what its bindings read. At compile time
+    it collects ``fixed``, the names the body reads directly (outside
+    probes and its own slots), and ``sources``, one ``(kind, compiled
+    form)`` per input that a probe reads: each of its own slots, read
+    whole, and the name or slot each ``mem b E``, ``N.f b``,
+    ``mem b (N.f b')`` and ``b = E`` probes, ``b`` and ``b'`` being bound
+    by the quantifier. While a binding is evaluated, each probe appends
+    ``(source, key of the binding)`` to a list kept in the environment
+    under ``record``; the key is a function of the binding's values' keys,
+    or None for a read of the whole source. ``state`` is None or the
+    :class:`_Bindings` of its last evaluation."""
 
-    __slots__ = ("var", "fixed", "runs", "quiet", "state")
+    __slots__ = ("names", "fixed", "sources", "_ids", "record", "state")
 
-    _OBSERVED = (Field, Mem, Len)
-
-    def __init__(self, var: str):
+    def __init__(self, names: tuple):
         super().__init__(cached=True)
-        self.var, self.fixed, self.runs, self.state = var, set(), [], None
-        self.quiet = _Unrecorded(self)
+        self.names, self.fixed, self.sources = names, set(), []
+        self._ids, self.record, self.state = {}, object(), None
 
     def slot(self, run, names):
-        return self.observe(super().slot(run, names))
+        get = super().slot(run, names)
+        return self._recorded(get, self._source(_WHOLE, get, get), None)
 
-    def observes(self, t: Term, bound: frozenset) -> bool:
-        """``t`` is an observation at a place where ``bound`` are bound."""
-        if not (isinstance(t, self._OBSERVED)
-                or isinstance(t, App) and isinstance(t.fn, Field)):
-            return False
-        return free_vars(t) & bound == {self.var}
+    def _source(self, kind: str, get, ident) -> int:
+        """The index of the source read by ``get``; ``ident`` names it."""
+        src = self._ids.get((kind, ident))
+        if src is None:
+            src = self._ids[kind, ident] = len(self.sources)
+            self.sources.append((kind, get))
+        return src
 
-    def observe(self, run):
-        """``run``, recording its value in the current binding's record, an
-        insertion-ordered dict kept in the environment under ``quiet``."""
-        j = len(self.runs)
-        self.runs.append(run)
-        key = self.quiet
+    def _recorded(self, run, src: int, key: Callable | None):
+        entry, record = (src, key), self.record
 
-        def observed(env):
-            v = env[key][j] = run(env)
+        def recorded(env):
+            v = run(env)
+            env[record].append(entry)
             return v
-        return observed
+        return recorded
+
+    def _read_of(self, e: Term) -> tuple:
+        """``(compiled form, identity)`` of a probed subterm that reads no
+        bound name: a name is read as it is, anything else through a slot
+        of this memo that is not itself recorded."""
+        if isinstance(e, _NEVER_HOISTED):
+            get = compile_term(e)
+            return get, e.name if isinstance(e, Var) else get
+        get = _Memo.slot(self, compile_term(e), _kept_by(e, free_vars(e)))
+        return get, get
+
+    def probe(self, t: Term, bound: frozenset):
+        """The compiled form of ``t`` when it is a probe at a place where
+        ``bound`` are bound, recording what it reads; else None."""
+        at = {name: k for k, name in enumerate(self.names)}
+        key = operator.itemgetter
+        match t:
+            case Mem(Var(b), App(Field(Var(n) as e, _), (Var(row),))) if (
+                    b in at and row in at and n not in bound):
+                kind, key, run = _EDGE, key(at[row], at[b]), None
+            case App(Field(Var(n) as e, _), (Var(b),)) if b in at and n not in bound:
+                kind, key, run = _ROW, key(at[b]), None
+            case Mem(Var(b), e) if b in at and free_vars(e).isdisjoint(bound):
+                kind, key, run = _MEMBER, key(at[b]), _mem
+            case Cmp("=", Var(b), e) if b in at and free_vars(e).isdisjoint(bound):
+                kind, key, run = _VALUE, key(at[b]), value_eq
+            case _:
+                return None
+        get, ident = self._read_of(e)
+        src = self._source(kind, get, ident)
+        if run is None:  # the source is a name, read again by the field
+            return self._recorded(compile_term(t), src, key)
+        entry, record, b_ = (src, key), self.record, compile_term(Var(b))
+
+        def probed(env):
+            v = run(b_(env), get(env))
+            env[record].append(entry)
+            return v
+        return probed
 
 
-class _Unrecorded:
-    """A binding memo's slots as seen from inside an observation: the same
-    cached slots, not recorded, since the observation is."""
+class _Held:
+    """A binding that held: its values, its place in the domain's order,
+    its probes as recorded, and as ``(source, key)`` pairs (a probe that
+    ran twice is there twice)."""
 
-    __slots__ = ("memo",)
+    __slots__ = ("binding", "pos", "record", "probes")
 
-    def __init__(self, memo: _BindingMemo):
-        self.memo = memo
-
-    def slot(self, run, names):
-        return _Memo.slot(self.memo, run, names)
+    def __init__(self, binding: tuple, pos: int, record: list, probes: list):
+        self.binding, self.pos, self.record, self.probes = binding, pos, record, probes
 
 
-def _memoisable(var: str, body: Term) -> bool:
+class _Bindings:
+    """What a binding memo knows after an evaluation: the values of its
+    fixed names, the domains, the bindings that held (``held``, by the
+    ``id`` of their values, which each keeps alive), whether they cover the
+    domains (``complete``), and, per source, what its probes last read
+    (``olds``), how many held bindings probed it (``observers``) and which
+    of them probed each key (``index``)."""
+
+    __slots__ = ("fixed", "domains", "complete", "held", "index", "observers",
+                 "olds")
+
+    def __init__(self, fixed: tuple, sources: int):
+        self.fixed, self.domains, self.complete, self.held = fixed, None, False, {}
+        self.index = [{} for _ in range(sources)]
+        self.observers, self.olds = [0] * sources, [None] * sources
+
+    def dirty(self, env: Env, sources: list) -> set:
+        """The held bindings that a change of a source since the last
+        evaluation may have reached. Only the sources some binding probed
+        are read again, and what they read now is remembered."""
+        dirty, olds, index = set(), self.olds, self.index
+        for src, count in enumerate(self.observers):
+            if not count:
+                continue
+            kind, read = sources[src]
+            old = olds[src]
+            try:
+                new = olds[src] = read(env)
+            # a failing read only means its probes are evaluated again,
+            # which raises whatever is real where it is real
+            except Exception:
+                changed = None
+            else:
+                if new is old and (
+                        kind is _VALUE or getattr(type(new), "_closed_", False)):
+                    continue
+                changed = _delta(kind, old, new)
+            if changed is None:
+                for bucket in index[src].values():
+                    dirty |= bucket
+            elif changed:
+                buckets = index[src]
+                for key in changed:
+                    bucket = buckets.get(key)
+                    if bucket:
+                        dirty |= bucket
+        return dirty
+
+    def rescan(self, bindings, dirty: set) -> list:
+        """``(id, values, place)`` of each binding of changed domains to be
+        evaluated, in domain order, once each; the others held and are not
+        dirty, and are kept at their new places."""
+        old, held, todo = self.held, {}, {}
+        for pos, (bid, binding) in enumerate(bindings):
+            if bid in held or bid in todo:
+                continue
+            entry = old.get(bid)
+            if entry is not None and bid not in dirty:
+                entry.pos = pos
+                held[bid] = entry
+            else:
+                todo[bid] = (bid, binding, pos)
+        for bid, entry in old.items():
+            if held.get(bid) is not entry:
+                self._unindex(bid, entry)
+        self.held = held
+        return list(todo.values())
+
+    def drop(self, bid) -> None:
+        entry = self.held.pop(bid, None)
+        if entry is not None:
+            self._unindex(bid, entry)
+
+    def _unindex(self, bid, entry: _Held) -> None:
+        index, observers = self.index, self.observers
+        for src, key in entry.probes:
+            index[src][key].discard(bid)
+            observers[src] -= 1
+
+    def keep(self, bid, binding: tuple, pos: int, record: list, env: Env,
+             sources: list) -> bool:
+        """Index a binding that held by what it probed, in place of what it
+        probed before; False when it cannot be kept: a value of it is not
+        closed, or has no key to probe by. A source no other binding probes
+        is read again, which only looks it up, since the binding read it."""
+        self.drop(bid)
+        for x in binding:
+            if type(x) is not int and not _closed(x):
+                return False
+        try:
+            keys = tuple(map(value_key, binding))
+        except EvaluationError:
+            if any(key is not None for _, key in record):
+                return False
+        probes = [(src, key and key(keys)) for src, key in record]
+        index, observers = self.index, self.observers
+        for src, key in probes:
+            bucket = index[src].get(key)
+            if bucket is None:
+                index[src][key] = {bid}
+            else:
+                bucket.add(bid)
+            if not observers[src]:
+                self.olds[src] = sources[src][1](env)
+            observers[src] += 1
+        self.held[bid] = _Held(binding, pos, record, probes)
+        return True
+
+
+def _same_items(new: Value, old: Value) -> bool:
+    """The identical elements in the same order."""
+    return new is old or (len(new) == len(old) and all(map(operator.is_, new, old)))
+
+
+def _memoisable(names: tuple, body: Term) -> bool:
     """The body applies no function but graph fields, binds nothing but
-    quantifier variables, and never rebinds ``var``."""
+    quantifier variables, and never rebinds ``names``."""
     pending = [body]
     while pending:
         t = pending.pop()
@@ -745,60 +967,66 @@ def _memoisable(var: str, body: Term) -> bool:
                 return False
             case App(fn, _) if not isinstance(fn, Field):
                 return False
-            case ForallRange(name, _, _, _) | ForallMem(name, _, _) if name == var:
+            case ForallRange(name, _, _, _) | ForallMem(name, _, _) if name in names:
                 return False
         pending += _children(t)
     return True
 
 
-def _binding_quantifier(var: str, body: Term):
-    """``(env, domain) -> bool`` deciding ``forall var in domain. body``, and
-    skipping each binding whose inputs are unchanged since it last held."""
-    memo = _BindingMemo(var)
-    enter, body_ = _quantifier_body(var, body, (), memo)
-    fixed, runs, key = tuple(sorted(memo.fixed)), memo.runs, memo.quiet
+def _binding_quantifier(names: tuple, body: Term):
+    """``(env, domains) -> bool`` deciding ``forall names in domains. body``,
+    one domain per name, the first outermost. It evaluates, in domain
+    order, only the bindings that are new or that a probe marks dirty."""
+    memo = _BindingMemo(names)
+    enter, body_ = _quantifier_body(names, body, (), memo)
+    fixed, sources, record = tuple(sorted(memo.fixed)), memo.sources, memo.record
 
-    def forall(env, domain):
+    def bindings(domains):
+        for binding in product(*domains):
+            yield tuple(map(id, binding)), binding
+
+    def forall(env, domains):
         get = env.get
         values = tuple([get(name, _UNSET) for name in fixed])
-        state = memo.state
-        if state is not None and all(map(operator.is_, values, state[0])):
-            last, keep = state[1], True
-        else:
-            last, keep = {}, _closed_since(values, state)
-        held = {}
+        state, memo.state = memo.state, None
         inner_env = enter(env)
+        if state is not None and all(map(operator.is_, values, state.fixed)):
+            keep, dirty = True, state.dirty(inner_env, sources)
+            if dirty and len(dirty) == len(state.held):  # start afresh
+                state, dirty = _Bindings(values, len(sources)), set()
+        else:
+            keep = _closed_since(values, state and state.fixed)
+            state, dirty = _Bindings(values, len(sources)), set()
+        if state.complete and all(map(_same_items, domains, state.domains)):
+            held = state.held
+            todo = [(bid, held[bid].binding, held[bid].pos)
+                    for bid in sorted(dirty, key=lambda bid: held[bid].pos)]
+        else:
+            todo = state.rescan(bindings(domains), dirty)
+            held = state.held
+        state.domains, state.complete = domains, False
+        complete, i = keep, 0
         try:
-            for x in domain:
-                inner_env[var] = x
-                kept = last.get(ident := id(x))
-                if kept is not None:
-                    # reused when each observation, read again in order,
-                    # gives the identical value or an equal int or bool
-                    for run, old in kept[1]:
-                        try:
-                            new = run(inner_env)
-                        # a failing read only means a full evaluation, which
-                        # raises whatever is real where it is real
-                        except Exception:
-                            break
-                        if new is not old and not (
-                                type(old) is int and type(new) is int and new == old):
-                            break
-                    else:
-                        held[ident] = kept
-                        continue
-                record = inner_env[key] = {}
+            for bid, binding, pos in todo:
+                for name, x in zip(names, binding):
+                    inner_env[name] = x
+                probes = inner_env[record] = []
                 v = body_(inner_env)
                 if v is not True and (v is False or not _as_bool(v, "quantifier body")):
                     return False
-                if keep and _closed((x, *record.values())):
-                    held[ident] = (x, tuple(zip(map(runs.__getitem__, record),
-                                                record.values())))
+                i += 1
+                if keep:
+                    entry = held.get(bid)
+                    if entry is None or probes != entry.record:
+                        complete = state.keep(bid, binding, pos, probes,
+                                              inner_env, sources) and complete
+            state.complete = complete
             return True
         finally:
+            for bid, _, _ in todo[i:]:  # not evaluated: not known to hold
+                state.drop(bid)
             if keep:
-                memo.state = (values, held)
+                memo.state = state
     return forall
 
 
@@ -874,13 +1102,13 @@ def _closed(v: Value) -> bool:
 _ATOMS = frozenset((int, bool, str, type(None)))
 
 
-def _closed_since(new: tuple, kept) -> bool:
-    """Every value of ``new`` is closed, where ``kept`` is None or a pair
-    whose first item holds closed values: one that is, or extends, its
-    counterpart there is checked only past it (see :func:`_extends`)."""
-    if kept is None:
+def _closed_since(new: tuple, old: tuple | None) -> bool:
+    """Every value of ``new`` is closed, where ``old`` is None or as many
+    closed values: one that is, or extends, its counterpart there is checked
+    only past it (see :func:`_extends`)."""
+    if old is None:
         return _closed(new)
-    return all(_extends(v, old) or _closed(v) for v, old in zip(new, kept[0]))
+    return all(_extends(v, o) or _closed(v) for v, o in zip(new, old))
 
 
 class _PrefixMemo:
@@ -920,7 +1148,7 @@ class _PrefixMemo:
 
 def _prefix_forall(t: ForallRange, grow: tuple, fixed: tuple):
     var, lo_, hi_ = t.var, compile_term(t.lo), compile_term(t.hi)
-    enter, body_ = _quantifier_body(var, t.body, (), _Memo(cached=True))
+    enter, body_ = _quantifier_body((var,), t.body, (), _Memo(cached=True))
     memo = _PrefixMemo(grow, fixed)
 
     def run(env):
@@ -986,6 +1214,17 @@ def _left_chain(t: Term, kind: type) -> tuple:
         t = t.left
     nodes.reverse()
     return t, nodes
+
+
+def _right_chain(t: Term, kind: type) -> tuple:
+    """``(lefts, last)`` for the right-nested chain of ``kind`` nodes rooted
+    at ``t``: each node's ``left``, outermost first, and the innermost
+    node's ``right``."""
+    lefts = []
+    while isinstance(t, kind):
+        lefts.append(t.left)
+        t = t.right
+    return lefts, t
 
 
 def _set_op(method: Callable, what: str, a_, b_):
@@ -1074,13 +1313,18 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
                 if v is True or v is False:
                     return not v
                 return not _as_bool(v, "'not'")
-        case Implies(left, right):
-            a_, b_ = sub(left), sub(right)
+        # A right-nested chain (a -> b -> c ...) runs as one loop over its
+        # premises, which stops at the first false one.
+        case Implies():
+            lefts, last = _right_chain(t, Implies)
+            premises, last_ = tuple(map(sub, lefts)), sub(last)
+
             def run(env):
-                v = a_(env)
-                if v is False or (v is not True and not _as_bool(v, "'->'")):
-                    return True
-                v = b_(env)
+                for a_ in premises:
+                    v = a_(env)
+                    if v is False or (v is not True and not _as_bool(v, "'->'")):
+                        return True
+                v = last_(env)
                 return v if v is True or v is False else _as_bool(v, "'->'")
         case Len(inner):
             a_ = sub(inner)
@@ -1133,17 +1377,10 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
                 return body_(inner_env)
         case SetOf(inner):
             a_ = sub(inner)
-            run = lambda env: FiniteSet(_as_seq(a_(env), "'setof'"))
+            run = lambda env: set_of(_as_seq(a_(env), "'setof'"))
         case Mem(elem, coll):
             x_, c_ = sub(elem), sub(coll)
-            def run(env):
-                x, c = x_(env), c_(env)
-                if isinstance(c, FiniteSet):
-                    return x in c
-                if is_seq(c):
-                    return any(value_eq(x, e) for e in c)
-                raise EvaluationError(
-                    f"'mem' expected a set or sequence, got {bounded_repr(c)}")
+            run = lambda env: _mem(x_(env), c_(env))
         case Subset(left, right):
             run = _set_op(FiniteSet.subset, "'subset'", sub(left), sub(right))
         case UnionOp(left, right):
@@ -1167,19 +1404,23 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
                 lo_v = _as_int(lo_(env), "quantifier bound")
                 hi_v = _as_int(hi_(env), "quantifier bound")
                 return forall(env, range(lo_v, hi_v))
-        case ForallMem(var, coll, body):
-            c_ = sub(coll)
-            if not scopes and _memoisable(var, body):
-                forall = _binding_quantifier(var, body)
-            else:
-                forall = _quantifier(var, body, scopes)
+        case ForallMem(var, outer, ForallMem(name, inner, body)) if (
+                not scopes and name != var and var not in free_vars(inner)
+                and _memoisable((var, name), body)):
+            # one quantifier over the pairs, in the order of the nested ones;
+            # the inner domain is read once the outer one is known non-empty
+            a_, b_ = compile_term(outer), compile_term(inner)
+            forall = _binding_quantifier((var, name), body)
+
             def run(env):
-                c = c_(env)
-                if not (is_seq(c) or isinstance(c, FiniteSet)):
-                    raise EvaluationError(
-                        f"quantifier domain must be a set or sequence, got {bounded_repr(c)}"
-                    )
-                return forall(env, c)
+                a = _domain(a_(env))
+                return not a or forall(env, (a, _domain(b_(env))))
+        case ForallMem(var, coll, body) if not scopes and _memoisable((var,), body):
+            c_, forall = compile_term(coll), _binding_quantifier((var,), body)
+            run = lambda env: forall(env, (_domain(c_(env)),))
+        case ForallMem(var, coll, body):
+            c_, forall = sub(coll), _quantifier(var, body, scopes)
+            run = lambda env: forall(env, _domain(c_(env)))
         case Lambda():
             # weakly, since the node holds this form: no reference cycle
             node = weakref.ref(t)

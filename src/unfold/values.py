@@ -35,16 +35,18 @@ class SeqView:
     indexing (negative too), slicing (which returns a tuple), iteration,
     ``in``, ``==``, ``hash``, ``repr`` and :func:`value_key`; for anything
     else, such as ``+``, take :meth:`as_tuple`. ``==``, ``hash`` and
-    ``repr`` use the equal tuple, built once per view and kept. A view
-    keeps its whole log alive.
+    ``repr`` use the equal tuple, and :func:`set_of` the set of the
+    elements, each built once per view and kept. A view keeps its whole log
+    alive.
     """
 
-    __slots__ = ("_log", "_n", "_tuple")
+    __slots__ = ("_log", "_n", "_tuple", "_set")
 
     def __init__(self, log: list, n: int):
         self._log = log
         self._n = n
         self._tuple = None
+        self._set = None
 
     def extends(self, other: Value) -> bool:
         """``other`` is a view of the same log, no longer than this one."""
@@ -105,6 +107,16 @@ _SEQUENCES = (tuple, SeqView)
 def is_seq(v: Value) -> bool:
     """Whether ``v`` is a sequence value: a tuple or a :class:`SeqView`."""
     return isinstance(v, _SEQUENCES)
+
+
+def set_of(s) -> "FiniteSet":
+    """The set of the elements of sequence ``s``; a view builds it once and
+    keeps it, so every check that reads the same visited view shares it."""
+    if type(s) is not SeqView:
+        return FiniteSet(s)
+    if s._set is None:
+        s._set = FiniteSet(s)
+    return s._set
 
 
 def bounded_repr(v: Value, limit: int = REPR_LIMIT) -> str:
@@ -174,7 +186,8 @@ class FiniteSet:
     equal to an operand (with the same elements) is that operand, so
     unchanged sets stay the identical object from one step to the next.
     A set holds only values with a structural key and never changes, so it
-    is closed (``_closed_``).
+    is closed (``_closed_``). The keys at which two sets differ in membership
+    are the symmetric difference of their key sets (:meth:`_delta_`).
     """
 
     __slots__ = ("_elems", "_keys", "_index")
@@ -276,6 +289,11 @@ class FiniteSet:
     def subset(self, other: "FiniteSet") -> bool:
         other_index = other._index
         return all(k in other_index for k in self._keys)
+
+    def _delta_(self, other: "FiniteSet") -> set:
+        """The keys of the values that are members of one set but not the
+        other: where ``mem x`` may read the two sets differently."""
+        return self._index.keys() ^ other._index.keys()
 
 
 EMPTY_SET = FiniteSet()

@@ -10,9 +10,10 @@ they do when each invariant is evaluated afresh by that interpreter.
 """
 
 import operator
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unfold import (
     ClientContract, ContractViolation, EvaluationError, checked_fold,
@@ -25,7 +26,7 @@ from unfold.terms import (
     App, Cmp, Field, ForallMem, ForallRange, Implies, Index, IntLit, Len, Mem,
     SetOf, Var,
 )
-from unfold.values import CellRef, FiniteSet, SeqView
+from unfold.values import EMPTY_SET, CellRef, FiniteSet, SeqView
 
 import reference_eval
 
@@ -246,7 +247,8 @@ def test_a_failing_binding_is_evaluated_again_with_the_same_message():
     assert agree(false, {"g": graph_of([0, 1, 2])}) == ("value", True)
 
 
-def test_an_unchanged_binding_reads_only_its_observations(monkeypatch):
+def test_an_unchanged_binding_reads_nothing_and_a_new_edge_only_its_pair(
+        monkeypatch):
     from unfold.graphs import MIRROR_INNER
 
     g = graph_of([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
@@ -259,9 +261,17 @@ def test_an_unchanged_binding_reads_only_its_observations(monkeypatch):
     assert terms.apply_lambda(inv, [(2,), acc, (0,), acc]) is True
     assert len(calls) > 3
     calls.clear()
-    # each of the 3 bindings u re-reads acc'.suc u and nothing else of g
+    # nothing changed: no binding is evaluated, no row is read
     assert terms.apply_lambda(inv, [(2,), acc, (0,), acc]) is True
-    assert sorted(calls) == [0, 1, 2]
+    assert calls == []
+    # acc' gains the edge 0 -> 0: only the pair (u, w) = (0, 0) probed it,
+    # and it reads acc'.suc 0 and g.suc 0 and fails
+    wrong = add_edge(acc, 0, 0)
+    args = [(2,), wrong, (0,), acc]
+    assert terms.apply_lambda(inv, args) is False
+    assert calls == [0, 0]
+    assert reference_eval.apply_lambda(
+        reference_eval.apply_lambda(MIRROR_INNER, [g, 1]), args) is False
 
 
 def test_a_rebound_or_non_set_quantifier_agrees_too():
@@ -273,6 +283,209 @@ def test_a_rebound_or_non_set_quantifier_agrees_too():
     for t in (shadowed, ranged):
         for env in ({"S": s}, {"S": FiniteSet([0, 1])}, {"S": s}):
             agree(t, env)
+
+
+# -- change sets: only the bindings a change reached are evaluated again ----------------------
+
+def outcome(t, env, evaluate) -> tuple:
+    try:
+        return ("value", evaluate(t, env))
+    except Exception as exc:  # noqa: BLE001 - both evaluators must agree on it
+        return ("raised", type(exc), str(exc))
+
+
+# invariants parsed afresh for each example, so that each binding memo
+# starts empty and sees that example's inputs only
+DELTA_TEXTS = (
+    # the pair form, as in mirror: every probe shape
+    r"""forall u. mem u g.dom -> forall w. mem w g.dom ->
+          mem w (h.suc u) = (mem w S /\ not w = src /\ mem u (g.suc w)
+                             \/ w = src /\ mem u c)""",
+    # one binder, rows read whole, a domain that shrinks and grows
+    r"forall u. mem u (diff h.dom S) -> h.suc u = g.suc u",
+    r"forall u. mem u v -> not u = src -> len (h.suc u) <= len (g.suc u) + 1",
+    # the inner domain reads the outer variable: not the pair form
+    r"forall u. mem u S -> forall w. mem w (h.suc u) -> mem u (g.suc w) \/ w = src",
+    # the outer domain may be empty, the inner one may not be a set, and a
+    # false pair may come before a raising one
+    r"forall u. mem u S -> forall w. mem w T -> u < w \/ v[w] = u",
+    # a cell read through a probe, and a domain that is a sequence
+    r"forall u. mem u v -> mem u c \/ u = src",
+    # a binding that may be a cell, read by no probe
+    r"forall u. mem u v -> u < 4",
+)
+
+VERTICES = st.integers(0, 4)
+STEPS = st.one_of(
+    st.tuples(st.just("edge"), VERTICES, VERTICES),
+    st.tuples(st.just("fork"), st.integers(0, 8), VERTICES, VERTICES),
+    st.tuples(st.just("shared"), st.lists(VERTICES, max_size=3)),
+    st.tuples(st.just("g edge"), VERTICES, VERTICES),
+    st.tuples(st.just("vertex"), st.integers(6, 8)),
+    st.tuples(st.just("S"), st.frozensets(VERTICES, max_size=6)),
+    st.tuples(st.just("T"), st.one_of(st.frozensets(VERTICES, max_size=4),
+                                      st.integers(0, 3))),
+    st.tuples(st.just("src"), VERTICES),
+    st.tuples(st.just("grow"), st.one_of(VERTICES, st.just("k"))),
+    st.tuples(st.just("k"), st.integers(0, 6)),
+    st.tuples(st.just("tuple")),
+    st.tuples(st.just("cell"), st.one_of(st.frozensets(VERTICES, max_size=4),
+                                         st.lists(VERTICES, max_size=3))),
+)
+
+
+def _apply_step(env: dict, history: list, log: list, step: tuple) -> None:
+    kind, *args = step
+    if kind == "edge":
+        env["h"] = add_edge(env["h"], *args)
+        history.append(env["h"])
+    elif kind == "fork":  # a graph forked from an older member of its log
+        env["h"] = add_edge(history[args[0] % len(history)], *args[1:])
+        history.append(env["h"])
+    elif kind == "shared":  # one row object for two vertices
+        row = FiniteSet(args[0])
+        env["h"] = GraphModel(range(6), {0: row, 1: row, 2: FiniteSet([3])})
+        history.append(env["h"])
+    elif kind == "g edge":
+        env["g"] = add_edge(env["g"], *args)
+    elif kind == "vertex":
+        env["h"] = add_vertex(env["h"], *args)
+        history.append(env["h"])
+    elif kind == "S":
+        env["S"] = FiniteSet(args[0])
+    elif kind == "T":
+        env["T"] = args[0] if isinstance(args[0], int) else FiniteSet(args[0])
+    elif kind == "src":
+        env["src"] = args[0]
+    elif kind == "grow":  # a longer view of the same append-only log
+        log.append(env["k"] if args[0] == "k" else args[0])
+        env["v"] = SeqView(log, len(log))
+    elif kind == "k":
+        env["k"].value = args[0]
+    elif kind == "tuple":  # an equal tuple in place of the view
+        env["v"] = tuple(env["v"])
+    else:
+        env["c"].value = (FiniteSet(args[0]) if isinstance(args[0], frozenset)
+                          else tuple(args[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(STEPS, st.booleans()), max_size=25))
+# a fork from the first graph with its next edge, then with another edge
+@example([(("edge", 0, 3), True), (("fork", 0, 0, 3), True),
+          (("fork", 0, 4, 0), True), (("edge", 4, 4), True)])
+# one row object shared by two vertices, which then part
+@example([(("shared", [2]), True), (("edge", 1, 0), True), (("edge", 0, 4), True)])
+# a view that grows, then an equal tuple, then a view again
+@example([(("grow", 3), True), (("grow", 4), True), (("tuple",), True),
+          (("grow", 1), True)])
+# a dirty binding after a failing one, which is not evaluated, then the
+# failing one mended
+@example([(("edge", 0, 2), False), (("edge", 0, 3), False), (("edge", 2, 3), False),
+          (("edge", 2, 4), True), (("src", 0), True)])
+# a binding dirty when its domain changes, and again later
+@example([(("edge", 0, 2), False), (("grow", 3), True), (("edge", 0, 3), True)])
+# a cell read through a probe, and a cell as a binding
+@example([(("cell", frozenset([0, 1, 2, 3])), True), (("cell", [2]), True),
+          (("grow", "k"), True), (("k", 5), True), (("k", 1), True)])
+def test_change_sets_agree_with_the_reference_over_call_sequences(steps):
+    # each step changes one input; the terms are checked after the steps
+    # marked True, so that several inputs may change between two checks
+    log = [0, 2]
+    h = graph_of(range(6), [(0, 1), (1, 2), (2, 0), (3, 3)])
+    env = {"g": graph_of(range(6), [(0, 1), (2, 0), (4, 5)]), "h": h,
+           "S": FiniteSet([0, 1]), "T": FiniteSet([1, 2]), "src": 1,
+           "v": SeqView(log, 2), "c": CellRef(FiniteSet([1])), "k": CellRef(1)}
+    history, delta_terms = [h], [parse_term_text(text) for text in DELTA_TEXTS]
+    for step, check in [(None, True)] + steps:
+        if step is not None:
+            _apply_step(env, history, log, step)
+        for t in delta_terms if check else ():
+            want = outcome(t, env, reference_eval.eval_term)
+            assert outcome(t, env, terms.eval_term) == want, (t, step)
+
+
+def test_a_graph_forked_from_an_older_member_starts_a_log_of_its_own():
+    g0 = graph_of(range(4), [(0, 1)])
+    g1 = add_edge(g0, 1, 2)
+    g2 = add_edge(g1, 2, 3)
+    assert g1._delta_(g0) == {((0, 1), (0, 2))} == g0._delta_(g1)
+    assert g2._delta_(g0) == {((0, 1), (0, 2)), ((0, 2), (0, 3))}
+    assert add_vertex(g2, 9)._delta_(g2) == set() == g2.copy()._delta_(g2)
+    # the same edge again and a different edge, each from an older member
+    same, other = add_edge(g0, 1, 2), add_edge(g1, 3, 0)
+    assert same == g1 and same._delta_(g1) is None
+    assert other._delta_(g1) is None and other._delta_(g2) is None
+    assert add_edge(same, 0, 3)._delta_(same) == {((0, 0), (0, 3))}
+    assert FiniteSet([1, 2])._delta_(FiniteSet([2, 3])) == {(0, 1), (0, 3)}
+
+
+@pytest.mark.parametrize("text, env, want", [
+    # the outer domain is empty: the inner one, not a set, is never read
+    ("forall u. mem u S -> forall w. mem w T -> u < w", {"T": 3}, ("value", True)),
+    # the outer domain is not: the inner one raises at the first u
+    ("forall u. mem u S -> forall w. mem w T -> u < w",
+     {"S": FiniteSet([1]), "T": 3},
+     ("raised", EvaluationError, "quantifier domain must be a set or "
+                                 "sequence, got 3")),
+    # the pair (1, 0) is false before the pair (1, 2) would raise
+    (r"forall u. mem u S -> forall w. mem w S -> u < w \/ v[w] = u",
+     {"S": FiniteSet([0, 1, 2]), "v": (0,)}, ("value", False)),
+    (r"forall u. mem u S -> forall w. mem w S -> u < w \/ v[w] = w",
+     {"S": FiniteSet([0, 1, 2]), "v": (0,)},
+     ("raised", EvaluationError, "index 1 out of range for sequence of length 1")),
+])
+def test_the_pair_form_reads_and_fails_as_the_nested_quantifiers_do(text, env, want):
+    t = parse_term_text(text)
+    env = dict({"S": EMPTY_SET}, **env)
+    for _ in range(2):
+        assert outcome(t, env, terms.eval_term) == want
+        assert outcome(t, env, reference_eval.eval_term) == want
+
+
+# -- model reads of the graph operations ----------------------------------------------------
+
+def _seeded_graph(rng, vertices: list, density: float) -> GraphModel:
+    """Every vertex gets ``round(density * n)`` distinct random successors."""
+    degree = max(round(density * len(vertices)), 1)
+    return GraphModel(vertices, {v: sorted(rng.sample(vertices, degree))
+                                 for v in vertices})
+
+
+# Model reads at 16 and 32 vertices: calls of Successors.__call__ and
+# FiniteSet.__contains__, the only ways a check reads a row or tests
+# membership. Before the change sets they were 32840/255184 (mirror),
+# 7816/55760 (complement) and 7200/46536 (union).
+MODEL_READS = {"mirror": (5504, 22208), "complement": (1261, 4765),
+               "union": (603, 1851)}
+READS_BEFORE = {"mirror": 255184, "complement": 55760, "union": 46536}
+
+
+def test_model_reads_grow_about_quadratically_with_the_vertices(monkeypatch):
+    reads = [0]
+    call, contains = Successors.__call__, FiniteSet.__contains__
+
+    def counted(method):
+        def read(self, v):
+            reads[0] += 1
+            return method(self, v)
+        return read
+    monkeypatch.setattr(Successors, "__call__", counted(call))
+    monkeypatch.setattr(FiniteSet, "__contains__", counted(contains))
+    got = {}
+    for n in (16, 32):
+        rng = random.Random(7)
+        g1 = _seeded_graph(rng, list(range(n)), 0.31)
+        g2 = _seeded_graph(rng, list(range(n // 2, n + n // 2)), 0.31)
+        for name, run in (("mirror", lambda: graphs.mirror(g1)),
+                          ("complement", lambda: graphs.complement(g1)),
+                          ("union", lambda: graphs.union(g1, g2))):
+            reads[0] = 0
+            run()
+            got[name] = got.get(name, ()) + (reads[0],)
+    assert got == MODEL_READS
+    for name, (small, large) in got.items():
+        assert large <= 4.5 * small and 4 * large <= READS_BEFORE[name]
 
 
 # -- the slot cache of a prefix form ---------------------------------------------------------
@@ -345,11 +558,20 @@ def test_a_short_evaluation_error_is_unchanged():
 
 G1 = graph_of(range(5), [(0, 1), (0, 3), (1, 2), (2, 2), (3, 0), (4, 1), (4, 3)])
 G2 = graph_of(range(2, 7), [(2, 3), (3, 3), (4, 6), (5, 2), (6, 4), (6, 5)])
+# G1 again, forked from an older member of its change log, and G2 as an older
+# member of its log, so that the first edge union adds to a copy of it forks
+_OLDER = graph_of(range(5), [(0, 1), (0, 3), (1, 2), (2, 2), (3, 0), (4, 1)])
+add_edge(_OLDER, 0, 4)
+G1_FORKED = add_edge(_OLDER, 4, 3)
+G2_OLDER = graph_of(range(2, 7), [(2, 3), (3, 3), (4, 6), (5, 2), (6, 4), (6, 5)])
+add_edge(G2_OLDER, 2, 2)
 OPERATIONS = {
     "union": lambda: graphs.union(G1, G2),
     "intersect": lambda: graphs.intersect(G1, G2),
     "complement": lambda: graphs.complement(G1),
     "mirror": lambda: graphs.mirror(G1),
+    "union_forked": lambda: graphs.union(G1_FORKED, G2_OLDER),
+    "mirror_forked": lambda: graphs.mirror(G1_FORKED),
 }
 
 

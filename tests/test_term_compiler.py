@@ -417,6 +417,34 @@ def test_long_operator_chains_compile_and_evaluate():
     assert terms.free_vars(with_error) == {"n", "s"}
 
 
+def _right_chain(kind, operands):
+    t = operands[-1]
+    for left in reversed(operands[:-1]):
+        t = kind(left, t)
+    return t
+
+
+def test_long_implication_chains_compile_and_evaluate():
+    true = Cmp("<", IntLit(0), Var("n"))
+    raising = Cmp("<", Index(Var("s"), IntLit(9)), IntLit(0))
+    env = {"n": 1, "s": ()}
+    assert terms.eval_term(_right_chain(Implies, [true] * 2001), env) is True
+    assert terms.eval_term(_right_chain(Implies, [true] * 2000 + [Not(true)]),
+                           env) is False
+    # stops at the first false premise: the later operands would raise
+    guarded = _right_chain(Implies, [true] * 1000 + [Not(true)] + [raising] * 1000)
+    assert terms.eval_term(guarded, env) is True
+    # an error in a premise or in the conclusion, and a non-boolean of each
+    for bad, last in ((raising, true), (IntLit(3), true), (true, raising),
+                      (true, IntLit(3))):
+        want = outcome(lambda: reference_eval.eval_term(
+            _right_chain(Implies, [true, bad, last]), env))
+        assert want[0] == "raised"
+        long = _right_chain(Implies, [true] * 1000 + [bad, last])
+        assert outcome(lambda: terms.eval_term(long, env)) == want
+    assert terms.free_vars(guarded) == {"n", "s"}
+
+
 # -- prefix forms that resume from their last evaluation -----------------------------
 #
 # One compiled form evaluated on a sequence of environments, each made from

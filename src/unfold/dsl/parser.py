@@ -10,7 +10,7 @@ from typing import Callable, Optional, Union
 from .. import terms as T
 from ..containers import LEAF, Node
 from ..errors import ParseError, SemanticError
-from ..terms import Term, eval_term
+from ..terms import Record, Term, eval_term
 from ..values import Value
 from .lexer import Token, strip_wrapper, tokenize
 
@@ -57,25 +57,20 @@ _BINARY = {
 
 # -- type expressions ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TVar:
-    name: str  # includes the leading quote
+class TVar(Record):
+    __slots__ = ("name",)  # name: includes the leading quote
 
 
-@dataclass(frozen=True)
-class TName:
-    name: str
+class TName(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class TApp:
-    base: str
-    param: "TypeExpr"
+class TApp(Record):
+    __slots__ = ("base", "param")
 
 
-@dataclass(frozen=True)
-class TTuple:
-    parts: tuple
+class TTuple(Record):
+    __slots__ = ("parts",)
 
 
 TypeExpr = Union[TVar, TName, TApp, TTuple]

@@ -60,14 +60,9 @@ view and with it the whole log, a graph) alive for as long as the node
 lives: one state per node, so the memory held is bounded but not released
 when the loop ends.
 
-The hoisted slots of a quantifier compiled outside any quantifier body (a
-prefix form or a set quantifier below) read no binder, and each also keeps
-its value across checks: it reuses the value while the raw values of its
-free names are the identical closed objects, so a ``flatten collection``
-or ``setof visited`` is not rebuilt while its input stays the same. Such a
-value is shared by later checks where plain evaluation would build it
-again; it is closed, so no reader can tell. A field of a name (``g.dom``,
-``g.suc``) is not kept this way: a graph keeps its fields.
+A derived value is reused across checks only where the immutable value it
+comes from keeps it: ``setof`` per visited view, ``flatten`` and ``levels``
+per tree, the fields per graph.
 
 A set quantifier ``forall x in S. body`` compiled outside any quantifier
 body remembers its bindings, after the same paper (the graph step
@@ -102,21 +97,19 @@ order, only the dirty bindings and those new in the domain; when the
 domains are the identical objects (or hold the identical elements in the
 same order) and nothing is dirty, it visits no binding at all. A binding
 is kept only when it held and its values are closed and, if it probed by
-key, have a structural key;
-a false or raising one is never kept, and the bindings after it are no
-longer known to hold, so every result, error and message is what a fresh
-evaluation gives. The state of one node keeps the bindings that held, the
-last value of each probed input (a graph keeps its whole change log, a
-list of key pairs that grows with its lineage) and the index, a set of
-binding ids per probed key: bounded by the last domains, and not released
-when the loop ends.
+key, have a structural key; a false or raising one is never kept, and the
+bindings after it are no longer known to hold, so every result, error and
+message is what a fresh evaluation gives. The state of one node keeps the
+bindings that held, the last value of each probed input (a graph keeps its
+whole change log, a list of key pairs that grows with its lineage) and the
+index, a set of binding ids per probed key: bounded by the last domains,
+and not released when the loop ends.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from itertools import product
 from typing import Callable, Mapping, Union
@@ -128,7 +121,52 @@ from .values import (
 )
 
 
-class Term:
+class Record:
+    """An immutable record. Its fields are the names its class and bases
+    declare in ``__slots__``, less private ones (``_run``); it is built,
+    matched, compared, hashed, printed (as a dataclass is) and pickled by
+    them, in that order, and none can be assigned or deleted."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__match_args__ + tuple(
+            name for name in cls.__dict__.get("__slots__", ()) if name[0] != "_")
+
+    def __init__(self, *values):
+        names = self.__match_args__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, *self._fields()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field '{name}'")
+
+    __delattr__ = __setattr__
+
+
+class Term(Record):
     """Base class for AST nodes. ``_run`` holds the compiled form, ``_fv``
     the free variables (see :func:`free_vars`)."""
 
@@ -137,14 +175,12 @@ class Term:
 
 # -- parameter patterns for lambdas ------------------------------------------
 
-@dataclass(frozen=True)
-class VarPat:
-    name: str
+class VarPat(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class TuplePat:
-    names: tuple[str, ...]
+class TuplePat(Record):
+    __slots__ = ("names",)
 
 
 Pattern = Union[VarPat, TuplePat]
@@ -152,219 +188,156 @@ Pattern = Union[VarPat, TuplePat]
 
 # -- nodes --------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class IntLit(Term):
-    value: int
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class BoolLit(Term):
-    value: bool
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class UnitLit(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Arith(Term):
-    op: str  # one of + - *
-    left: Term
-    right: Term
+    __slots__ = ("op", "left", "right")  # op: one of + - *
 
 
-@dataclass(frozen=True)
 class Cmp(Term):
-    op: str  # one of = <> < <= > >=
-    left: Term
-    right: Term
+    __slots__ = ("op", "left", "right")  # op: one of = <> < <= > >=
 
 
-@dataclass(frozen=True)
 class And(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Not(Term):
-    term: Term
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
 class Implies(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Len(Term):
-    term: Term
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
 class Index(Term):
-    seq: Term
-    index: Term
+    __slots__ = ("seq", "index")
 
 
-@dataclass(frozen=True)
 class Prefix(Term):
-    seq: Term
-    upto: Term
+    __slots__ = ("seq", "upto")
 
 
-@dataclass(frozen=True)
 class Reverse(Term):
-    term: Term
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
 class Distinct(Term):
-    term: Term
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
 class TupleTerm(Term):
-    items: tuple[Term, ...]
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True)
 class SeqLit(Term):
-    items: tuple[Term, ...]
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True)
 class LetTuple(Term):
-    names: tuple[str, ...]
-    rhs: Term
-    body: Term
+    __slots__ = ("names", "rhs", "body")
 
 
-@dataclass(frozen=True)
 class SetOf(Term):
-    term: Term
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
 class Mem(Term):
-    elem: Term
-    coll: Term
+    __slots__ = ("elem", "coll")
 
 
-@dataclass(frozen=True)
 class Subset(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class UnionOp(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class InterOp(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class DiffOp(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class AddElem(Term):
-    elem: Term
-    coll: Term
+    __slots__ = ("elem", "coll")
 
 
-@dataclass(frozen=True)
 class EmptySetLit(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Field(Term):
-    term: Term
-    name: str  # "dom" or "suc"
+    __slots__ = ("term", "name")  # name: "dom" or "suc"
 
 
-@dataclass(frozen=True)
 class ForallRange(Term):
     """forall var. lo <= var < hi -> body"""
 
-    var: str
-    lo: Term
-    hi: Term
-    body: Term
+    __slots__ = ("var", "lo", "hi", "body")
 
 
-@dataclass(frozen=True)
 class ForallMem(Term):
     """forall var. mem var coll -> body"""
 
-    var: str
-    coll: Term
-    body: Term
+    __slots__ = ("var", "coll", "body")
 
 
-@dataclass(frozen=True)
 class Lambda(Term):
-    params: tuple[Pattern, ...]
-    body: Term
+    __slots__ = ("params", "body")
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: Term
-    args: tuple[Term, ...]
+    __slots__ = ("fn", "args")
 
 
-@dataclass(frozen=True)
 class SumTerm(Term):
     """sum f lo hi: the sum of f(i) for lo <= i < hi (0 on empty range)."""
 
-    fn: Term
-    lo: Term
-    hi: Term
+    __slots__ = ("fn", "lo", "hi")
 
 
-@dataclass(frozen=True)
 class Flatten(Term):
-    term: Term
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
 class Levels(Term):
-    term: Term
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
 class CopyTerm(Term):
-    term: Term
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
 class ConstValue(Term):
     """Pre-evaluated literal (graph/tree literals in scenario files)."""
 
-    value: object
+    __slots__ = ("value",)
 
 
 Env = Mapping[str, Value]
@@ -508,8 +481,7 @@ def _pattern_names(params: tuple) -> set:
 
 
 def _children(t: Term):
-    for f in fields(t) if is_dataclass(t) else ():
-        v = getattr(t, f.name)
+    for v in t._fields():
         if isinstance(v, Term):
             yield v
         elif isinstance(v, tuple):
@@ -560,55 +532,25 @@ _UNSET = object()
 class _Memo:
     """Compile-time record of one quantifier body's memo slots. At run time
     the memo is a list, fresh at every entry into the quantifier, kept in the
-    body's environment under this object as key.
+    body's environment under this object as key."""
 
-    A *cached* memo belongs to a quantifier compiled outside any quantifier
-    body, whose slots read no binder at all. Each of its slots also keeps
-    the raw values of the subterm's free names and its value from the last
-    entry that computed it, and reuses that value while those names hold the
-    identical objects. The pair is kept only when every value in it is
-    closed (:func:`_closed`); it is replaced whole."""
+    __slots__ = ("size",)
 
-    __slots__ = ("size", "cached")
-
-    def __init__(self, cached: bool = False):
+    def __init__(self):
         self.size = 0
-        self.cached = cached
 
-    def slot(self, run: Callable[[Env], Value],
-             names: frozenset | None) -> Callable[[Env], Value]:
-        """``run``, evaluated at most once per memo: when first demanded.
-        In a cached memo it also reuses its value across entries while
-        ``names`` hold the identical objects, unless ``names`` is None."""
+    def slot(self, run: Callable[[Env], Value]) -> Callable[[Env], Value]:
+        """``run``, evaluated at most once per memo: when first demanded."""
         i = self.size
         self.size += 1
-        if not self.cached or names is None:
-            def memoised(env):
-                memo = env[self]
-                v = memo[i]
-                if v is _UNSET:
-                    v = memo[i] = run(env)
-                return v
-            return memoised
-        names = tuple(names)
-        last = [None]  # (raw values of names, value), or None
 
-        def cached(env):
+        def memoised(env):
             memo = env[self]
             v = memo[i]
             if v is _UNSET:
-                get = env.get
-                raw = tuple([get(name, _UNSET) for name in names])
-                kept = last[0]
-                if kept is not None and all(map(operator.is_, raw, kept[0])):
-                    v = kept[1]
-                else:
-                    v = run(env)
-                    closed = _closed_since(raw, kept and kept[0]) and _closed(v)
-                    last[0] = (raw, v) if closed else None
-                memo[i] = v
+                v = memo[i] = run(env)
             return v
-        return cached
+        return memoised
 
 
 # Compiling inside quantifier bodies: ``scopes`` lists, outermost first, each
@@ -637,7 +579,7 @@ def _compile_in(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
         run = top.probe(t, bound)
         if run is not None:
             if len(scopes) > 1:  # invariant in the inner quantifiers
-                return scopes[1][0].slot(run, free_vars(t))
+                return scopes[1][0].slot(run)
             return run
         if isinstance(t, Var) and t.name not in bound:
             top.fixed.add(t.name)
@@ -647,21 +589,13 @@ def _compile_in(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
     for k, (memo, bound) in enumerate(scopes):
         if names.isdisjoint(bound):
             if k:
-                return memo.slot(_compile(t, scopes[:k]), names)
-            run = memo.slot(compile_term(t), _kept_by(t, names))
+                return memo.slot(_compile(t, scopes[:k]))
+            run = memo.slot(compile_term(t))
             if isinstance(memo, _BindingMemo) and len(scopes) > 1:
                 # recorded once per binding, not once per inner binding
-                return scopes[1][0].slot(run, names)
+                return scopes[1][0].slot(run)
             return run
     return _compile(t, scopes)
-
-
-def _kept_by(t: Term, names: frozenset) -> frozenset | None:
-    """The names whose values decide whether a cached slot of ``t`` keeps
-    its value across entries, or None: a field of a name is one method call,
-    and a graph keeps its fields, so there is nothing to gain from keeping
-    it across entries."""
-    return None if isinstance(t, Field) and isinstance(t.term, Var) else names
 
 
 def _quantifier_body(names: tuple, body: Term, scopes: Scopes, memo: _Memo = None):
@@ -750,7 +684,7 @@ def _domain(c: Value) -> Value:
 
 
 class _BindingMemo(_Memo):
-    """The cached memo of a set quantifier over ``names`` (one name, or an
+    """The memo of a set quantifier over ``names`` (one name, or an
     outer and an inner one), with what its bindings read. At compile time
     it collects ``fixed``, the names the body reads directly (outside
     probes and its own slots), and ``sources``, one ``(kind, compiled
@@ -766,12 +700,12 @@ class _BindingMemo(_Memo):
     __slots__ = ("names", "fixed", "sources", "_ids", "record", "state")
 
     def __init__(self, names: tuple):
-        super().__init__(cached=True)
+        super().__init__()
         self.names, self.fixed, self.sources = names, set(), []
         self._ids, self.record, self.state = {}, object(), None
 
-    def slot(self, run, names):
-        get = super().slot(run, names)
+    def slot(self, run):
+        get = super().slot(run)
         return self._recorded(get, self._source(_WHOLE, get, get), None)
 
     def _source(self, kind: str, get, ident) -> int:
@@ -798,7 +732,7 @@ class _BindingMemo(_Memo):
         if isinstance(e, _NEVER_HOISTED):
             get = compile_term(e)
             return get, e.name if isinstance(e, Var) else get
-        get = _Memo.slot(self, compile_term(e), _kept_by(e, free_vars(e)))
+        get = _Memo.slot(self, compile_term(e))
         return get, get
 
     def probe(self, t: Term, bound: frozenset):
@@ -1148,7 +1082,7 @@ class _PrefixMemo:
 
 def _prefix_forall(t: ForallRange, grow: tuple, fixed: tuple):
     var, lo_, hi_ = t.var, compile_term(t.lo), compile_term(t.hi)
-    enter, body_ = _quantifier_body((var,), t.body, (), _Memo(cached=True))
+    enter, body_ = _quantifier_body((var,), t.body, ())
     memo = _PrefixMemo(grow, fixed)
 
     def run(env):

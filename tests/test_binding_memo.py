@@ -1,5 +1,6 @@
 """Incremental graph invariants: key-level set algebra, structurally shared
-graphs, the cross-check slot cache and the binding memo of ``forall x in S``.
+graphs, derived values kept on the values they come from, and the binding
+memo of ``forall x in S``.
 
 A set operation must give the set, the elements and the text that
 rebuilding through ``FiniteSet(...)`` gives. A graph builder must share the
@@ -17,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from unfold import (
     ClientContract, ContractViolation, EvaluationError, checked_fold,
-    collect_stats, create_cursor, engine, graphs, seq_cursor, terms,
+    collect_stats, containers, create_cursor, engine, graphs, seq_cursor, terms,
 )
-from unfold.containers import LEAF, BinaryTree, Node
+from unfold.containers import LEAF, Node
 from unfold.dsl.parser import parse_term_text
 from unfold.graphs import GraphModel, Successors, add_edge, add_vertex, graph_of
 from unfold.terms import (
@@ -488,9 +489,15 @@ def test_model_reads_grow_about_quadratically_with_the_vertices(monkeypatch):
         assert large <= 4.5 * small and 4 * large <= READS_BEFORE[name]
 
 
-# -- the slot cache of a prefix form ---------------------------------------------------------
+# -- derived values kept on the tree a prefix form reads ------------------------------------
 
 def test_a_tree_permitted_flattens_the_tree_once_per_fold(monkeypatch):
+    # every check flattens the same tree, which walks itself once and keeps
+    # the result
+    walked = []
+    in_order = containers._in_order
+    monkeypatch.setattr(containers, "_in_order",
+                        lambda t: walked.append(t) or in_order(t))
     tree = LEAF
     for k in range(40):
         tree = Node(tree, k, LEAF) if k % 3 else Node(LEAF, k, tree)
@@ -498,16 +505,12 @@ def test_a_tree_permitted_flattens_the_tree_once_per_fold(monkeypatch):
     permitted = terms.eval_term(parse_term_text(
         "(fun v -> forall i. 0 <= i < len v -> v[i] = (flatten collection)[i])"),
         {"collection": tree})
-    flattened = []
-    flatten = BinaryTree.flatten
-    monkeypatch.setattr(BinaryTree, "flatten",
-                        lambda self: flattened.append(self) or flatten(self))
     cursor = create_cursor(elems, permitted, lambda v: len(v) == len(elems))
     total = checked_fold(lambda a, x: a + x, 0, cursor, ClientContract(
         inv=lambda v, a: True, convergence=lambda c, v: len(c) - len(v),
         collection=elems))
     assert total == sum(elems)
-    assert flattened == [tree]
+    assert walked == [tree]
 
 
 def test_a_set_quantifier_indexing_visited_reads_each_element_once(monkeypatch):

@@ -215,10 +215,11 @@ def _fresh_process(*argv) -> tuple:
 
 
 def _without_millis(stdout: str):
-    """The output with its timings taken out: ``millis`` in JSON, ``ms`` in text."""
+    """The output with its timings taken out: ``millis`` in JSON, and in text
+    each ``ms`` figure with the padding that right-aligns it."""
     if stdout.startswith(("[", "{")):
         return json.loads(re.sub(r'"millis": [0-9.e-]+', '"millis": 0', stdout))
-    return re.sub(r"[0-9.]+ ms", "_ ms", stdout)
+    return re.sub(r" *[0-9.]+ ms", "_ ms", stdout)
 
 
 def test_repeated_calls_in_one_process_see_only_their_own_options(tmp_path, capsys):

@@ -27,7 +27,7 @@ from unfold.terms import (
     Or, Prefix, Reverse, SeqLit, SetOf, Subset, SumTerm, TuplePat, TupleTerm,
     UnionOp, UnitLit, Var, VarPat,
 )
-from unfold.values import CellRef, FiniteSet, StackRef, value_eq
+from unfold.values import CellRef, FiniteSet, SeqView, StackRef, value_eq
 
 import reference_eval
 
@@ -363,7 +363,8 @@ def test_mirror_inner_builds_each_invariant_set_once_per_check(monkeypatch):
     g = graph_of([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
     # mirror's state after source 0 and, of source 1, the successor 2
     acc = graph_of([0, 1, 2], [(1, 0), (2, 0), (2, 1)])
-    visited, visited_p = (0,), (2,)
+    # views of append-only logs, as the engine passes them
+    visited, visited_p = SeqView([0], 1), SeqView([2], 1)
     inputs = []
     init = FiniteSet.__init__
 
@@ -375,7 +376,7 @@ def test_mirror_inner_builds_each_invariant_set_once_per_check(monkeypatch):
     inv = terms.apply_lambda(MIRROR_INNER, [g, 1])
     for _ in range(2):
         # the body ranges over 3 x 3 bindings (u, w); an identical re-check
-        # reuses the sets its slots built, and builds none
+        # reuses the sets each view keeps, and builds none
         assert terms.apply_lambda(inv, [visited_p, acc, visited, acc]) is True
         assert sum(x is visited_p for x in inputs) == 1
         assert sum(x is visited for x in inputs) == 1

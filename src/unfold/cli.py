@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 when everything passes, 1 on contract violations or failed
-expectations, 2 on parse or semantic errors.
+expectations, 2 on parse or semantic errors and on files that cannot be
+read as UTF-8 text or written.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _print_trace(report) -> None:
 def _cmd_check(args) -> int:
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"unfold: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -53,7 +54,7 @@ def _cmd_check(args) -> int:
 def _cmd_desugar(args) -> int:
     try:
         text = Path(args.spec).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"unfold: cannot read {args.spec}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -62,7 +63,11 @@ def _cmd_desugar(args) -> int:
         print(f"unfold: {args.spec}: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        Path(args.output).write_text(skeleton, encoding="utf-8")
+        try:
+            Path(args.output).write_text(skeleton, encoding="utf-8")
+        except OSError as exc:
+            print(f"unfold: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(skeleton)
     return 0

@@ -19,6 +19,11 @@ the new element against what the earlier steps established:
   the keys seen so far, so each set cursor gets its own predicate.
 
 ``complete`` predicates run once, at exhaustion, and stay in full form.
+
+The stack and queue builders' invariant has the same step form: the sink's
+push-order items equal the visited prefix. A builder's sink is fresh and only
+``push`` reaches the loop, so the items only grow, and a check compares by
+the prefix step just the items pushed since the last check that held.
 """
 
 from __future__ import annotations
@@ -196,6 +201,30 @@ class _DistinctMembers:
         return True
 
 
+class _PushedPrefix:
+    """inv for a sink builder: the sink's push-order ``items`` equal the
+    visited prefix of ``source``, in step form after ``agreed`` items; a
+    visited prefix shorter than ``agreed`` starts again from index 0."""
+
+    __slots__ = ("items", "prefix", "agreed")
+
+    def __init__(self, items: list, source: tuple):
+        self.items = items
+        self.prefix = _PrefixOf(source)
+        self.agreed = 0
+
+    def __call__(self, v: tuple) -> bool:
+        items, step = self.items, self.prefix.step
+        n = min(len(v), len(self.prefix.source))
+        if len(items) != n:
+            return False
+        for k in range(self.agreed if self.agreed <= n else 0, n):
+            if not step(k, items[k]):
+                return False
+        self.agreed = n
+        return True
+
+
 def _prefix_cursor(source: tuple) -> Cursor:
     """Cursor whose permitted is prefix-of-source and complete is
     length equality."""
@@ -238,38 +267,27 @@ def level_cursor(t: BinaryTree) -> Cursor:
     return _prefix_cursor(t.levels())
 
 
-def stack_of_seq(s: tuple) -> StackRef:
-    """Push every element of ``s`` onto a fresh stack, checking at each step
-    that the pushed items, bottom first (the reversed contents), equal the
-    visited prefix."""
+def _push_all(sink, s: tuple):
+    """Push every element of ``s`` onto ``sink``, checking at each step that
+    its push-order items equal the visited prefix. The sink is fresh and
+    only ``push`` is handed to the loop, so its items only grow and each
+    check compares just the items pushed since the last check that held."""
     s = tuple(s)
-    pushed = list(s)  # compared with the stack's push-order item list
-    stack = StackRef()
-    checked_iter(
-        stack.push,
-        seq_cursor(s),
-        ClientContract(
-            inv=lambda v: stack._items == pushed[:len(v)],
-            convergence=lambda c, v: len(c) - len(v),
-            collection=s,
-        ),
-    )
-    return stack
+    checked_iter(sink.push, seq_cursor(s), ClientContract(
+        inv=_PushedPrefix(sink._items, s),
+        convergence=lambda c, v: len(c) - len(v), collection=s))
+    return sink
+
+
+def stack_of_seq(s: tuple) -> StackRef:
+    """Push every element of ``s`` onto a fresh stack; the pushed items,
+    bottom first (the reversed contents), must equal the visited prefix at
+    each step, checked in step form (``_push_all``)."""
+    return _push_all(StackRef(), s)
 
 
 def queue_of_seq(s: tuple) -> QueueRef:
     """Push every element of ``s`` onto a fresh queue; the queue contents
-    must equal the visited prefix at each step."""
-    s = tuple(s)
-    pushed = list(s)  # compared with the queue's push-order item list
-    queue = QueueRef()
-    checked_iter(
-        queue.push,
-        seq_cursor(s),
-        ClientContract(
-            inv=lambda v: queue._items == pushed[:len(v)],
-            convergence=lambda c, v: len(c) - len(v),
-            collection=s,
-        ),
-    )
-    return queue
+    must equal the visited prefix at each step, checked in step form
+    (``_push_all``)."""
+    return _push_all(QueueRef(), s)

@@ -111,7 +111,8 @@ def push_frame(ctx: InvariantContext, acc: Value, visited: tuple) -> InvariantCo
 
 
 def pop_frame(ctx: InvariantContext) -> InvariantContext:
-    assert ctx.frames, "pop_frame on empty context"
+    if not ctx.frames:
+        raise AssertionError("pop_frame on empty context")
     return InvariantContext(ctx.frames[:-1])
 
 

@@ -118,6 +118,14 @@ decl fold_seq {
         proc = unfold("check", "no-suchimagined-file.scn")
         assert proc.returncode == 2
 
+    def test_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "binary.scn"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"unfold: cannot read {path}: ")
+        assert "Traceback" not in err
+
     def test_json_format(self, scenario_file):
         proc = unfold("check", str(scenario_file), "--format", "json")
         assert proc.returncode == 0
@@ -170,6 +178,23 @@ class TestDesugar:
         assert proc.returncode == 0
         golden = (GOLDEN / "graph_union.golden").read_text(encoding="utf-8")
         assert out.read_text(encoding="utf-8") == golden
+
+    def test_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "binary.spec"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["desugar", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"unfold: cannot read {path}: ")
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "skeleton.txt"
+        assert main(["desugar", str(GOLDEN / "graph_union.spec"),
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"unfold: cannot write {out}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_semantic_error_exits_two(self, tmp_path):
         path = tmp_path / "bad.spec"

@@ -11,6 +11,8 @@ from unfold import (
     Node,
     ViolationKind,
     checked_fold,
+    checked_iter,
+    collect_stats,
     create_cursor,
     level_cursor,
     queue_of_seq,
@@ -20,7 +22,7 @@ from unfold import (
     tree_cursor,
 )
 from unfold import containers
-from unfold.containers import BinaryTree, _DistinctMembers, _PrefixOf
+from unfold.containers import BinaryTree, _DistinctMembers, _PrefixOf, _PushedPrefix
 from unfold.dsl import parse_term_text
 from unfold.terms import apply_lambda, eval_term
 from unfold.values import value_key
@@ -237,6 +239,137 @@ class TestSinks:
             s = random_seq(rng, max_len=40)
             assert tuple(reversed(stack_of_seq(s).contents())) == s
             assert queue_of_seq(s).contents() == s
+
+
+class _Same:
+    """Equal to every ``_Same`` of the same value and identical to none;
+    counts the ``__eq__`` calls made on any of them."""
+
+    calls = 0
+    __slots__ = ("value",)
+    __hash__ = None
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        _Same.calls += 1
+        return isinstance(other, _Same) and self.value == other.value
+
+    def __repr__(self):
+        return f"_Same({self.value!r})"
+
+
+NAN = float("nan")
+WRONG = 99
+SINK_ELEMS = st.one_of(st.integers(-2, 2), st.booleans(), st.just(NAN),
+                       st.integers(0, 2).map(_Same))
+SINK_FAULTS = ["none", "wrong", "drop", "double", "copy", "nan", "bool"]
+
+
+def _equal_copy(x):
+    """An equal but not identical copy; a NaN copy is unequal to its source."""
+    if isinstance(x, _Same):
+        return _Same(x.value)
+    return float("nan") if x is NAN else x
+
+
+def _swap_bool(x):
+    """``True`` for ``1``, ``0`` for ``False``, and so on: equal elements of
+    the other type."""
+    if type(x) is bool:
+        return int(x)
+    return bool(x) if type(x) is int and x in (0, 1) else x
+
+
+def _faulty_consumer(items, fault, at):
+    def push(x):
+        k = push.received
+        push.received += 1
+        if fault == "copy":
+            items.append(_equal_copy(x))
+        elif fault == "bool":
+            items.append(_swap_bool(x))
+        elif k != at:
+            items.append(x)
+        elif fault == "wrong":
+            items.append(WRONG)
+        elif fault == "double":
+            items.extend((x, x))
+        elif fault == "nan":
+            items.append(float("nan"))
+        elif fault == "none":
+            items.append(x)
+    push.received = 0
+    return push
+
+
+def _slicing_inv(items, source):
+    """The builders' invariant before the step form, kept as the oracle."""
+    return lambda v: items == list(source[:len(v)])
+
+
+def _run_sink(make_inv, source, fault="none", at=0):
+    items = []
+    contract = ClientContract(inv=make_inv(items, source),
+                              convergence=lambda c, v: len(c) - len(v),
+                              collection=source)
+    with collect_stats() as stats:
+        try:
+            checked_iter(_faulty_consumer(items, fault, at), seq_cursor(source),
+                         contract)
+            outcome = ("ok", repr(items))
+        except ContractViolation as exc:
+            outcome = ("violation", exc.kind, exc.step, str(exc))
+    return outcome, (stats.inv_checks, stats.variant_checks,
+                     stats.permitted_checks, stats.complete_checks)
+
+
+class TestPushedPrefix:
+    """The builders' sink invariant checks only the items pushed since the
+    last check that held, and decides exactly what the slicing form did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SINK_ELEMS, max_size=8).map(tuple),
+           st.sampled_from(SINK_FAULTS),
+           st.sampled_from(["first", "middle", "last"]))
+    def test_faulty_consumers_match_the_slicing_form(self, source, fault, where):
+        at = {"first": 0, "middle": len(source) // 2,
+              "last": len(source) - 1}[where]
+        stepped = _run_sink(_PushedPrefix, source, fault, at)
+        sliced = _run_sink(_slicing_inv, source, fault, at)
+        assert stepped == sliced
+
+    def test_the_faults_are_caught_or_pass_as_list_equality_decides(self):
+        source = (1, NAN, _Same(0), True)
+        outcomes = {fault: _run_sink(_PushedPrefix, source, fault, at=1)[0]
+                    for fault in SINK_FAULTS}
+        assert outcomes["none"][0] == outcomes["bool"][0] == "ok"
+        # "copy" fails too: a copied NaN is not equal to the source's NaN
+        for fault in ("wrong", "drop", "double", "nan", "copy"):
+            assert outcomes[fault][:3] == ("violation",
+                                           ViolationKind.INVARIANT_VIOLATED, 2)
+
+    def test_each_item_is_compared_once(self):
+        n = 40
+        source = tuple(_Same(i) for i in range(n))
+        _Same.calls = 0
+        (outcome, counts) = _run_sink(_PushedPrefix, source, "copy")
+        assert outcome[0] == "ok" and counts[0] == n + 1
+        assert _Same.calls == n
+        _Same.calls = 0
+        assert _run_sink(_slicing_inv, source, "copy")[0][0] == "ok"
+        assert _Same.calls == n * (n + 1) // 2
+
+    def test_a_shorter_prefix_starts_again_from_the_first_item(self):
+        source = (1, 2, 3)
+        items = [1, 2, 3]
+        inv = _PushedPrefix(items, source)
+        assert inv(source)
+        items[:] = [WRONG]
+        assert inv(source[:1]) is False
+        items[:] = [1]
+        assert inv(source[:1]) is True
 
 
 class TestGenericSoundness:

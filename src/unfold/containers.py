@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Optional
 
 from .cursor import Cursor, create_cursor
-from .engine import ClientContract, checked_iter
+from .engine import EMPTY_CONTEXT, ClientContract, checked_iter
 from .values import FiniteSet, QueueRef, StackRef, Value, value_key
 
 
@@ -271,11 +271,15 @@ def _push_all(sink, s: tuple):
     """Push every element of ``s`` onto ``sink``, checking at each step that
     its push-order items equal the visited prefix. The sink is fresh and
     only ``push`` is handed to the loop, so its items only grow and each
-    check compares just the items pushed since the last check that held."""
+    check compares just the items pushed since the last check that held.
+    The loop is a level of its own, as every graph operation is: inside the
+    consumer of another checked loop, its invariant still sees only its own
+    visited prefix."""
     s = tuple(s)
     checked_iter(sink.push, seq_cursor(s), ClientContract(
         inv=_PushedPrefix(sink._items, s),
-        convergence=lambda c, v: len(c) - len(v), collection=s))
+        convergence=lambda c, v: len(c) - len(v), collection=s),
+        ctx=EMPTY_CONTEXT)
     return sink
 
 

@@ -27,83 +27,74 @@ is hoisted into or out of a lambda body, and equal subterms at different
 places keep separate slots, so no value is shared that plain evaluation
 would have built twice.
 
-Two prefix forms resume where their last evaluation stopped, after Ditto
-(Shankar and Bodik, "DITTO: automatic incrementalization of data structure
-invariant checks", PLDI 2007): ``forall i. lo <= i < len X -> body`` and
-``sum (fun i -> body) lo (len X)`` with ``X`` a variable, each compiled
-outside any quantifier body. Every ``permitted`` over a visited prefix and
-most client invariants have this shape, and checking them afresh at every
-step of an iteration costs quadratic time. Each such node keeps one memo:
-the raw values of the names its body reads, the lower bound, and how many
-leading bindings are known to hold (for ``sum``, the running total up to
-there). The next evaluation skips those bindings when its lower bound is
-the same and each name's value is such that the bindings cannot have
-changed: a *grow* name, one the body reads only as ``X[e]`` and never
-rebinds (``X`` must be one), holds the identical value or a view of the
-same append-only log (a :class:`~unfold.values.SeqView`, as a cursor's
-visited sequence is) no shorter than the remembered one, a test that costs
-O(1) however long the prefix; every other name holds the identical
-object. Every value read must be closed all the way down: integers,
-booleans, unit, strings, and tuples and values with a structural key that
-hold no mutable reference or function anywhere inside, since a binder in
-the body (``forall x in p``, ``let``, a lambda parameter) would keep such a
-reference and read its current contents. A grown element is checked once,
-when it is added. The form is recognised only when its body applies no
-function value taken from the environment or a sequence, only syntactic
-lambdas and graph fields, so each binding's outcome depends on nothing else
-and resuming is exact. Any other evaluation runs in full from ``lo`` and
-re-seeds the memo. The memo counts only the bindings before the first false
-or raising one, which is evaluated again next time, so a failure is
-reported at the same binding with the same message. It is one tuple,
-replaced whole, and it keeps the values its last evaluation read (a visited
-view and with it the whole log, a graph) alive for as long as the node
-lives: one state per node, so the memory held is bounded but not released
-when the loop ends.
+Quantifiers compiled outside any quantifier body remember what their last
+evaluation found, after Ditto (Shankar and Bodik, "DITTO: automatic
+incrementalization of data structure invariant checks", PLDI 2007). Every
+``permitted`` over a visited prefix, most client invariants and the graph
+step invariants restate their whole input at every step of an iteration,
+while it grew by one element or one edge; checking them afresh costs
+quadratic time. The range forms ``forall i. lo <= i < hi -> body`` and
+``sum (fun i -> body) lo hi`` keep a count, and a set form ``forall x in
+S. body`` indexes its bindings. A directly nested ``forall x in A. forall
+y in B. body`` whose ``B`` does not read ``x`` is one set form over the
+pairs ``(x, y)``, in ``x``-major order; ``B`` is read once ``A`` is known
+non-empty, as the nested form reads it. The body must apply no function
+but graph fields and bind nothing but inner quantifier variables, none
+named as the form's own, so that a binding's outcome depends only on what
+it reads; any other body (a ``let``, a lambda) is evaluated in full.
+
+Both forms analyse their body in one way, at compile time. What a binding
+reads is a set of *probes*, each a read of one input, its *source*, at one
+key of the binding: ``mem b E`` reads ``E`` at the key of ``b``, ``N.f b``
+reads the row of ``b`` in the graph ``N``, ``mem b (N.f b')`` the edge from
+``b'`` to ``b`` in it, ``b = E`` whether ``E``'s key is ``b``'s, and ``E[e]``
+one element of ``E``, where ``b`` and ``b'`` are bound by the form, ``e``
+reads only its variables, ``N`` is a name and ``E`` reads no name bound in
+the body; each of the form's own hoisted slots is a probe of its whole
+value. The names the body reads directly (outside probes and slots) are
+its *fixed* names, which must hold the identical objects. A source has
+not changed when it holds the identical object or an equal integer, or,
+read by index, a longer view of the same append-only log (a
+:class:`~unfold.values.SeqView`, as a cursor's visited sequence is), a
+test that costs O(1) however long the prefix. Every value kept must be
+closed all the way down: integers, booleans, unit, strings, and tuples and
+values with a structural key that hold no mutable reference or function
+anywhere inside, since a binder in the body would keep such a reference and
+read its current contents. A value is checked once, and a longer view only
+past the part already checked. A false or raising binding is never kept,
+so every result, error and message is what a fresh evaluation gives.
+
+A range form keeps its fixed values, its source values, its lower bound,
+how many leading bindings are known to hold and, for ``sum``, their total.
+The next evaluation skips those bindings when its lower bound is the same,
+its upper bound is not below them, and no fixed or source value changed;
+else it runs in full from ``lo``. A set form reads each probed source again
+and takes its change set from the value it read last: for ``b = E`` the old
+and the new key of ``E``; for ``mem b E`` the keys in one set and not the
+other (:meth:`~unfold.values.FiniteSet._delta_`); for a graph the rows, or
+the edges, by which two members of one change log differ (``_delta_`` in
+:mod:`unfold.graphs`), read off the log without reading a row; nothing for
+a source that has not changed. Any other change is unknown, and every
+binding that probed that input is dirty; so is every binding when a fixed
+value changed. Each binding that held is indexed by the key of each probe
+it made, so the dirty bindings are the index's entries at the changed keys.
+The evaluation then runs, in domain order, only the dirty bindings and
+those new in the domain; when the domains are the identical objects (or
+hold the identical elements in the same order) and nothing is dirty, it
+visits no binding at all. A binding is kept only when its values are closed
+and, if it probed by key, have a structural key.
+
+The state of a form is one per node and is not released when the loop
+ends: a range form's is one tuple, replaced whole, which keeps the values
+its last evaluation read (a visited view and with it the whole log, a
+graph) alive; a set form's keeps the bindings that held, the last value of
+each source (a graph keeps its whole change log, a list of key pairs that
+grows with its lineage) and the index, a set of binding ids per probed key,
+bounded by the last domains.
 
 A derived value is reused across checks only where the immutable value it
 comes from keeps it: ``setof`` per visited view, ``flatten`` and ``levels``
 per tree, the fields per graph.
-
-A set quantifier ``forall x in S. body`` compiled outside any quantifier
-body remembers its bindings, after the same paper (the graph step
-invariants restate the whole graph at every step, while one edge changed).
-Its body must apply no function but graph fields and bind nothing but
-inner quantifier variables, none named ``x``. A directly nested
-``forall x in A. forall y in B. body`` whose ``B`` does not read ``x`` is
-one such quantifier over the pairs ``(x, y)``, in ``x``-major order; ``B``
-is read once ``A`` is known non-empty, as the nested form reads it.
-
-Each binding records what it reads as *probes*, each a read of one input
-at one key of the binding: ``mem b E`` reads ``E`` at the key of ``b``,
-``N.f b`` reads the row of ``b`` in the graph ``N``, ``mem b (N.f b')``
-the edge from ``b'`` to ``b`` in it, and ``b = E`` whether ``E``'s key is
-``b``'s, where ``b`` and ``b'`` are bound by the quantifier, ``N`` is a
-name and ``E`` reads no name bound in the body; each of the quantifier's
-own hoisted slots is a probe of its whole value. The names the body reads
-directly (outside probes and slots) must hold the identical closed objects
-(checked, when one changes, as a prefix form checks its inputs: a longer
-view only past the part already checked), or every binding is evaluated
-again. The next evaluation reads each probed input again and takes its
-change set from the value it read last: for ``b = E`` the old and the new
-key of ``E``; for ``mem b E`` the keys in one set and not the other
-(:meth:`~unfold.values.FiniteSet._delta_`); for a graph the rows, or the
-edges, by which two members of one change log differ (``_delta_`` in
-:mod:`unfold.graphs`), read off the log without reading a row; nothing for
-the identical closed object. Any other change is unknown, and every
-binding that probed that input is dirty. Each binding that held is
-indexed by the key of each probe it made, so the dirty bindings are the
-index's entries at the changed keys. The evaluation then runs, in domain
-order, only the dirty bindings and those new in the domain; when the
-domains are the identical objects (or hold the identical elements in the
-same order) and nothing is dirty, it visits no binding at all. A binding
-is kept only when it held and its values are closed and, if it probed by
-key, have a structural key; a false or raising one is never kept, and the
-bindings after it are no longer known to hold, so every result, error and
-message is what a fresh evaluation gives. The state of one node keeps the
-bindings that held, the last value of each probed input (a graph keeps its
-whole change log, a list of key pairs that grows with its lineage) and the
-index, a set of binding ids per probed key: bounded by the last domains,
-and not released when the loop ends.
 """
 
 from __future__ import annotations
@@ -630,10 +621,11 @@ def _quantifier(var: str, body: Term, scopes: Scopes):
     return forall
 
 
-# -- set quantifiers that remember their bindings (see the module docstring) --
+# -- quantifiers that remember what their bindings read (see the module docstring)
 
 # How a probe reads its source, and so which of the source's changes it sees.
-_WHOLE, _MEMBER, _VALUE, _ROW, _EDGE = "whole", "member", "value", "row", "edge"
+_WHOLE, _MEMBER, _VALUE, _ROW, _EDGE, _INDEX = (
+    "whole", "member", "value", "row", "edge", "index")
 _KEYLESS = object()  # the key of a value outside value_key's domain
 
 
@@ -644,21 +636,25 @@ def _key_of(v: Value):
         return _KEYLESS
 
 
-def _delta(kind: str, old: Value, new: Value):
+def _delta(kind: str, old: Value, new: Value, closed: bool):
     """The keys at which a probe of ``kind`` may read ``new`` differently
-    from ``old``, or None when they are not known. ``b = E`` can change only
-    for the old and the new key of ``E``; ``mem b E`` only for the keys in
-    one set and not the other; ``N.f b`` and ``mem b (N.f b')`` only for the
-    rows (and the edges) by which two graphs of one change log differ. A
-    source that is the identical object has changed nowhere when it is
-    closed; any other change of a source read whole is unknown."""
-    if new is old:
-        if kind is _VALUE or getattr(type(new), "_closed_", False) or _closed(new):
-            return ()
-        return None
+    from ``old``, or None when they are not known; ``closed`` tells that
+    ``old`` is known to be closed. ``b = E`` can change only for the old
+    and the new key of ``E``; ``mem b E`` only for the keys in one set and
+    not the other; ``N.f b`` and ``mem b (N.f b')`` only for the rows (and
+    the edges) by which two graphs of one change log differ. A closed
+    source has changed nowhere when it is the identical object or an equal
+    integer (a count such as ``len s`` is a new object at every evaluation
+    once past CPython's small ints), nor, read by index, when the new value
+    extends it (see :func:`_extends`); any other change of a source read
+    whole is unknown."""
+    if new is old or (type(new) is int and type(old) is int and new == old):
+        return () if kind is _VALUE or closed or _closed(old) else None
     if kind is _VALUE:
         old, new = _key_of(old), _key_of(new)
         return () if old == new else [k for k in (old, new) if k is not _KEYLESS]
+    if kind is _INDEX:
+        return () if _extends(new, old) and (closed or _closed(old)) else None
     if kind is _WHOLE or type(new) is not type(old):
         return None
     delta = getattr(new, "_delta_", None)
@@ -684,25 +680,28 @@ def _domain(c: Value) -> Value:
 
 
 class _BindingMemo(_Memo):
-    """The memo of a set quantifier over ``names`` (one name, or an
-    outer and an inner one), with what its bindings read. At compile time
-    it collects ``fixed``, the names the body reads directly (outside
-    probes and its own slots), and ``sources``, one ``(kind, compiled
-    form)`` per input that a probe reads: each of its own slots, read
-    whole, and the name or slot each ``mem b E``, ``N.f b``,
-    ``mem b (N.f b')`` and ``b = E`` probes, ``b`` and ``b'`` being bound
-    by the quantifier. While a binding is evaluated, each probe appends
-    ``(source, key of the binding)`` to a list kept in the environment
-    under ``record``; the key is a function of the binding's values' keys,
-    or None for a read of the whole source. ``state`` is None or the
-    :class:`_Bindings` of its last evaluation."""
+    """The memo of a quantifier over ``names`` (one name, or an outer and
+    an inner one), with what its bindings read. At compile time it
+    collects ``fixed``, the names the body reads directly (outside probes
+    and its own slots), and ``sources``, one ``(kind, compiled form)`` per
+    input that a probe reads: each of its own slots, read whole, and the
+    name or slot each ``mem b E``, ``N.f b``, ``mem b (N.f b')``, ``b = E``
+    and ``E[e]`` probes, ``b`` and ``b'`` being bound by the quantifier and
+    ``e`` reading only its names. A set quantifier's memo is ``keyed``:
+    while a binding is evaluated, each probe appends ``(source, key of the
+    binding)`` to a list kept in the environment under ``record``; the key
+    is a function of the binding's values' keys, or None for a read of the
+    whole source. A range quantifier's memo records nothing. ``state`` is
+    None or what the last evaluation left: a :class:`_Bindings`, or the
+    tuple of :func:`_range_quantifier`."""
 
     __slots__ = ("names", "fixed", "sources", "_ids", "record", "state")
 
-    def __init__(self, names: tuple):
+    def __init__(self, names: tuple, keyed: bool = True):
         super().__init__()
         self.names, self.fixed, self.sources = names, set(), []
-        self._ids, self.record, self.state = {}, object(), None
+        self._ids, self.state = {}, None
+        self.record = object() if keyed else None
 
     def slot(self, run):
         get = super().slot(run)
@@ -718,6 +717,8 @@ class _BindingMemo(_Memo):
 
     def _recorded(self, run, src: int, key: Callable | None):
         entry, record = (src, key), self.record
+        if record is None:
+            return run
 
         def recorded(env):
             v = run(env)
@@ -746,6 +747,9 @@ class _BindingMemo(_Memo):
                 kind, key, run = _EDGE, key(at[row], at[b]), None
             case App(Field(Var(n) as e, _), (Var(b),)) if b in at and n not in bound:
                 kind, key, run = _ROW, key(at[b]), None
+            case Index(e, i) if (free_vars(e).isdisjoint(bound)
+                                 and _NO_NAMES < free_vars(i) <= set(at)):
+                kind, key, run = _INDEX, None, None
             case Mem(Var(b), e) if b in at and free_vars(e).isdisjoint(bound):
                 kind, key, run = _MEMBER, key(at[b]), _mem
             case Cmp("=", Var(b), e) if b in at and free_vars(e).isdisjoint(bound):
@@ -754,9 +758,13 @@ class _BindingMemo(_Memo):
                 return None
         get, ident = self._read_of(e)
         src = self._source(kind, get, ident)
+        if kind is _INDEX:
+            return self._recorded(_indexing(get, compile_term(i)), src, key)
         if run is None:  # the source is a name, read again by the field
             return self._recorded(compile_term(t), src, key)
         entry, record, b_ = (src, key), self.record, compile_term(Var(b))
+        if record is None:
+            return lambda env: run(b_(env), get(env))
 
         def probed(env):
             v = run(b_(env), get(env))
@@ -777,26 +785,30 @@ class _Held:
 
 
 class _Bindings:
-    """What a binding memo knows after an evaluation: the values of its
-    fixed names, the domains, the bindings that held (``held``, by the
-    ``id`` of their values, which each keeps alive), whether they cover the
-    domains (``complete``), and, per source, what its probes last read
-    (``olds``), how many held bindings probed it (``observers``) and which
-    of them probed each key (``index``)."""
+    """What a set quantifier's memo knows after an evaluation: the values
+    of its fixed names, the domains, the bindings that held (``held``, by
+    the ``id`` of their values, which each keeps alive), whether they cover
+    the domains (``complete``), and, per source, what its probes last read
+    (``olds``), whether that is known to be closed (``closed``), how many
+    held bindings probed it (``observers``) and which of them probed each
+    key (``index``). A fresh start takes ``olds`` and ``closed`` over from
+    the ``last`` state, so that a source is checked closed only once."""
 
     __slots__ = ("fixed", "domains", "complete", "held", "index", "observers",
-                 "olds")
+                 "olds", "closed")
 
-    def __init__(self, fixed: tuple, sources: int):
+    def __init__(self, fixed: tuple, sources: int, last: _Bindings | None):
         self.fixed, self.domains, self.complete, self.held = fixed, None, False, {}
         self.index = [{} for _ in range(sources)]
-        self.observers, self.olds = [0] * sources, [None] * sources
+        self.observers = [0] * sources
+        self.olds, self.closed = ((last.olds, last.closed) if last is not None
+                                  else ([None] * sources, [False] * sources))
 
     def dirty(self, env: Env, sources: list) -> set:
         """The held bindings that a change of a source since the last
         evaluation may have reached. Only the sources some binding probed
         are read again, and what they read now is remembered."""
-        dirty, olds, index = set(), self.olds, self.index
+        dirty, olds, closed, index = set(), self.olds, self.closed, self.index
         for src, count in enumerate(self.observers):
             if not count:
                 continue
@@ -809,10 +821,11 @@ class _Bindings:
             except Exception:
                 changed = None
             else:
-                if new is old and (
-                        kind is _VALUE or getattr(type(new), "_closed_", False)):
+                if new is old and (kind is _VALUE or closed[src]
+                                   or getattr(type(new), "_closed_", False)):
                     continue
-                changed = _delta(kind, old, new)
+                changed = _delta(kind, old, new, closed[src])
+            closed[src] = kind is not _VALUE and changed == ()
             if changed is None:
                 for bucket in index[src].values():
                     dirty |= bucket
@@ -871,7 +884,8 @@ class _Bindings:
             if any(key is not None for _, key in record):
                 return False
         probes = [(src, key and key(keys)) for src, key in record]
-        index, observers = self.index, self.observers
+        index, observers, olds, closed = (self.index, self.observers, self.olds,
+                                          self.closed)
         for src, key in probes:
             bucket = index[src].get(key)
             if bucket is None:
@@ -879,7 +893,9 @@ class _Bindings:
             else:
                 bucket.add(bid)
             if not observers[src]:
-                self.olds[src] = sources[src][1](env)
+                new = sources[src][1](env)
+                closed[src] = closed[src] and _extends(new, olds[src])
+                olds[src] = new
             observers[src] += 1
         self.held[bid] = _Held(binding, pos, record, probes)
         return True
@@ -927,10 +943,10 @@ def _binding_quantifier(names: tuple, body: Term):
         if state is not None and all(map(operator.is_, values, state.fixed)):
             keep, dirty = True, state.dirty(inner_env, sources)
             if dirty and len(dirty) == len(state.held):  # start afresh
-                state, dirty = _Bindings(values, len(sources)), set()
+                state, dirty = _Bindings(values, len(sources), state), set()
         else:
             keep = _closed_since(values, state and state.fixed)
-            state, dirty = _Bindings(values, len(sources)), set()
+            state, dirty = _Bindings(values, len(sources), state), set()
         if state.complete and all(map(_same_items, domains, state.domains)):
             held = state.held
             todo = [(bid, held[bid].binding, held[bid].pos)
@@ -964,41 +980,64 @@ def _binding_quantifier(names: tuple, body: Term):
     return forall
 
 
-# -- prefix forms that resume (see the module docstring) ---------------------------
+def _range_quantifier(var: str, lo: Term, hi: Term, body: Term, adds: bool):
+    """The compiled ``forall var. lo <= var < hi -> body``, or with
+    ``adds`` ``sum (fun var -> body) lo hi``. ``memo.state`` is None or the
+    tuple ``(fixed values, source values, lo, held, total)``: with those
+    values and that lower bound, the first ``held`` bindings hold (and sum
+    to ``total``). It is replaced whole, never updated in place. A later
+    evaluation resumes after them when its lower bound is the same, its
+    upper bound is not below them, each fixed value is the identical object
+    and no source has changed (see :func:`_delta`)."""
+    memo = _BindingMemo((var,), keyed=False)
+    enter, body_ = _quantifier_body((var,), body, (), memo)
+    fixed, sources = tuple(sorted(memo.fixed)), memo.sources
+    lo_, hi_ = compile_term(lo), compile_term(hi)
+    what = "'sum' bound" if adds else "quantifier bound"
 
-def _prefix_names(var: str, body: Term, seq: str):
-    """``(grow, fixed)``: the names a prefix form over ``var`` from ``lo`` to
-    ``len seq`` must check before it resumes, or None when ``body`` applies
-    a function value that is not a syntactic lambda or a graph field, or
-    ``seq`` is not a grow name. The walk keeps its own stack."""
-    index_read, other_read, bound = set(), set(), {var}
-    pending = [body]
-    while pending:
-        t = pending.pop()
-        match t:
-            case Index(Var(name), index):
-                index_read.add(name)
-                pending.append(index)
-                continue
-            case Var(name):
-                other_read.add(name)
-            case App(fn, _) if not isinstance(fn, (Lambda, Field)):
-                return None
-            case SumTerm(fn, _, _) if not isinstance(fn, Lambda):
-                return None
-            case ForallRange(name, _, _, _) | ForallMem(name, _, _):
-                bound.add(name)
-            case LetTuple(names, _, _):
-                bound.update(names)
-            case Lambda(params, _):
-                bound.update(_pattern_names(params))
-        pending += _children(t)
-    names = free_vars(body) - {var}
-    grow = {name for name in (names & index_read) | {seq}
-            if name not in other_read and name not in bound}
-    if seq not in grow:
-        return None
-    return tuple(sorted(grow)), tuple(sorted(names - grow))
+    def resume(env, inner_env, lo_v: int, hi_v: int):
+        """``(seen, held, total)`` for an evaluation from ``lo_v`` to
+        ``hi_v``; ``seen``, the fixed and the source values, is None when
+        they cannot seed a memo."""
+        get = env.get
+        values = tuple([get(name, _UNSET) for name in fixed])
+        try:
+            read = tuple([source(inner_env) for _, source in sources])
+        # evaluated in full, which raises whatever is real where it is real
+        except Exception:
+            return None, 0, 0
+        state = memo.state
+        if (state is not None and state[2] == lo_v and lo_v + state[3] <= hi_v
+                and all(map(operator.is_, values, state[0]))):
+            for (kind, _), old, new in zip(sources, state[1], read):
+                if new is not old and _delta(kind, old, new, True) != ():
+                    break
+            else:
+                return (values, read), state[3], state[4]
+        if _closed_since(values + read, state and state[0] + state[1]):
+            return (values, read), 0, 0
+        return None, 0, 0
+
+    def run(env):
+        lo_v = _as_int(lo_(env), what)
+        hi_v = _as_int(hi_(env), what)
+        inner_env = enter(env)
+        seen, held, total = resume(env, inner_env, lo_v, hi_v)
+        i = start = lo_v + held
+        try:
+            for i in range(start, hi_v):
+                inner_env[var] = i
+                v = body_(inner_env)
+                if adds:
+                    total += _as_int(v, "'sum' body")
+                elif v is not True and (v is False or not _as_bool(v, "quantifier body")):
+                    return False
+            i = max(start, hi_v)
+            return total if adds else True
+        finally:
+            if seen is not None:
+                memo.state = (*seen, lo_v, i - lo_v, total)
+    return run
 
 
 def _extends(new: Value, old: Value) -> bool:
@@ -1045,86 +1084,6 @@ def _closed_since(new: tuple, old: tuple | None) -> bool:
     return all(_extends(v, o) or _closed(v) for v, o in zip(new, old))
 
 
-class _PrefixMemo:
-    """How far one prefix form got. ``state`` is None or the tuple
-    ``(grow values, fixed values, lo, held, total)``: with those values and
-    that lower bound, the first ``held`` bindings hold (and sum to
-    ``total``). It is replaced whole, never updated in place. A later
-    evaluation resumes from it in O(1) plus the closedness check of the
-    elements added since: each grow value is the remembered one or a longer
-    view of its log (see :func:`_extends`), each fixed value the identical
-    object."""
-
-    __slots__ = ("grow", "fixed", "state")
-
-    def __init__(self, grow: tuple, fixed: tuple):
-        self.grow, self.fixed, self.state = grow, fixed, None
-
-    def resume(self, env: Env, lo: int):
-        """``(values, held, total)`` for an evaluation under ``env`` from
-        ``lo``; ``values`` is None when they cannot seed a memo."""
-        get = env.get
-        grow = tuple([get(name, _UNSET) for name in self.grow])
-        fixed = tuple([get(name, _UNSET) for name in self.fixed])
-        state = self.state
-        if (state is not None and state[2] == lo
-                and all(map(_extends, grow, state[0]))
-                and all(map(operator.is_, fixed, state[1]))):
-            return (grow, fixed), state[3], state[4]
-        if all(map(is_seq, grow)) and _closed((grow, fixed)):
-            return (grow, fixed), 0, 0
-        return None, 0, 0
-
-    def save(self, values, lo: int, held: int, total: int = 0) -> None:
-        if values is not None:
-            self.state = (*values, lo, held, total)
-
-
-def _prefix_forall(t: ForallRange, grow: tuple, fixed: tuple):
-    var, lo_, hi_ = t.var, compile_term(t.lo), compile_term(t.hi)
-    enter, body_ = _quantifier_body((var,), t.body, ())
-    memo = _PrefixMemo(grow, fixed)
-
-    def run(env):
-        lo_v = _as_int(lo_(env), "quantifier bound")
-        hi_v = _as_int(hi_(env), "quantifier bound")
-        values, held, _ = memo.resume(env, lo_v)
-        i = start = lo_v + held
-        try:
-            inner_env = enter(env)
-            for i in range(start, hi_v):
-                inner_env[var] = i
-                v = body_(inner_env)
-                if v is not True and (
-                        v is False or not _as_bool(v, "quantifier body")):
-                    return False
-            i = max(start, hi_v)
-            return True
-        finally:
-            memo.save(values, lo_v, i - lo_v)
-    return run
-
-
-def _prefix_sum(t: SumTerm, grow: tuple, fixed: tuple):
-    f_, lo_, hi_ = compile_term(t.fn), compile_term(t.lo), compile_term(t.hi)
-    memo = _PrefixMemo(grow, fixed)
-
-    def run(env):
-        f = f_(env)
-        lo_v = _as_int(lo_(env), "'sum' bound")
-        hi_v = _as_int(hi_(env), "'sum' bound")
-        values, held, total = memo.resume(env, lo_v)
-        i = start = lo_v + held
-        try:
-            for i in range(start, hi_v):
-                total += _as_int(apply_lambda(f, [i]), "'sum' body")
-            i = max(start, hi_v)
-            return total
-        finally:
-            memo.save(values, lo_v, i - lo_v, total)
-    return run
-
-
 # -- the compiler ---------------------------------------------------------------
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -1163,6 +1122,18 @@ def _right_chain(t: Term, kind: type) -> tuple:
 
 def _set_op(method: Callable, what: str, a_, b_):
     return lambda env: method(_as_set(a_(env), what), _as_set(b_(env), what))
+
+
+def _indexing(s_, i_):
+    """The compiled ``S[I]``, from the compiled ``S`` and ``I``."""
+    def run(env):
+        s = _as_seq(s_(env), "indexing")
+        i = _as_int(i_(env), "index")
+        if not 0 <= i < len(s):
+            raise EvaluationError(
+                f"index {i} out of range for sequence of length {len(s)}")
+        return s[i]
+    return run
 
 
 def _method(a_, attr: str, message: Callable[[Value], str]):
@@ -1269,15 +1240,7 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
                 raise EvaluationError(
                     f"'len' expected a sequence or set, got {bounded_repr(v)}")
         case Index(seq, index):
-            s_, i_ = sub(seq), sub(index)
-            def run(env):
-                s = _as_seq(s_(env), "indexing")
-                i = _as_int(i_(env), "index")
-                if not 0 <= i < len(s):
-                    raise EvaluationError(
-                        f"index {i} out of range for sequence of length {len(s)}"
-                    )
-                return s[i]
+            run = _indexing(sub(seq), sub(index))
         case Prefix(seq, upto):
             s_, k_ = sub(seq), sub(upto)
             def run(env):
@@ -1329,9 +1292,8 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
         case Field(inner, name):
             run = _method(sub(inner), f"field_{name}",
                           lambda v: f"value {bounded_repr(v)} has no field '.{name}'")
-        case ForallRange(var, lo, Len(Var(seq)), body) if not scopes and (
-                names := _prefix_names(var, body, seq)):
-            run = _prefix_forall(t, *names)
+        case ForallRange(var, lo, hi, body) if not scopes and _memoisable((var,), body):
+            run = _range_quantifier(var, lo, hi, body, adds=False)
         case ForallRange(var, lo, hi, body):
             lo_, hi_, forall = sub(lo), sub(hi), _quantifier(var, body, scopes)
             def run(env):
@@ -1370,9 +1332,9 @@ def _compile(t: Term, scopes: Scopes) -> Callable[[Env], Value]:
                     return f(*vals)
                 raise EvaluationError(
                     f"cannot apply non-function value {bounded_repr(f)}")
-        case SumTerm(Lambda((VarPat(var),), body), lo, Len(Var(seq))) if (
-                not scopes and (names := _prefix_names(var, body, seq))):
-            run = _prefix_sum(t, *names)
+        case SumTerm(Lambda((VarPat(var),), body), lo, hi) if (
+                not scopes and _memoisable((var,), body)):
+            run = _range_quantifier(var, lo, hi, body, adds=True)
         case SumTerm(fn, lo, hi):
             f_, lo_, hi_ = sub(fn), sub(lo), sub(hi)
             def run(env):

@@ -489,7 +489,7 @@ def test_model_reads_grow_about_quadratically_with_the_vertices(monkeypatch):
         assert large <= 4.5 * small and 4 * large <= READS_BEFORE[name]
 
 
-# -- derived values kept on the tree a prefix form reads ------------------------------------
+# -- derived values kept on the tree a range form reads -------------------------------------
 
 def test_a_tree_permitted_flattens_the_tree_once_per_fold(monkeypatch):
     # every check flattens the same tree, which walks itself once and keeps
@@ -514,9 +514,10 @@ def test_a_tree_permitted_flattens_the_tree_once_per_fold(monkeypatch):
 
 
 def test_a_set_quantifier_indexing_visited_reads_each_element_once(monkeypatch):
-    # the body reads the visited view directly, so the view is a name the
-    # memo compares at every check; a longer view of the same log is checked
-    # only past the part already checked, never walked from its start
+    # the body reads the visited view by index, so the view is a source the
+    # memo reads again at every check; a longer view of the same log is
+    # checked only past the part already checked, never walked from its
+    # start, even though every check starts afresh as "len v" changes
     n = 3000
     inv = terms.eval_term(parse_term_text(
         "(fun v a -> forall x. mem x S -> x < len v -> v[x] >= 0)"),
@@ -530,6 +531,47 @@ def test_a_set_quantifier_indexing_visited_reads_each_element_once(monkeypatch):
         inv=inv, convergence=lambda c, v: len(c) - len(v), collection=s))
     assert total == sum(s)
     assert sum(walked) <= 2 * n
+
+
+def test_a_set_quantifier_indexing_an_identical_tuple_checks_it_closed_once(monkeypatch):
+    # the tuple is read by index, so it is a source the memo reads again at
+    # every check; the same object is known closed and is not walked again
+    n = 3000
+    big = tuple(range(n))
+    inv = terms.eval_term(parse_term_text(
+        "(fun v a -> forall x. mem x S -> big[x] >= 0)"),
+        {"S": FiniteSet([0, 1, 2]), "big": big})
+    walked = []
+    closed = terms._closed
+    monkeypatch.setattr(terms, "_closed", lambda v: walked.append(
+        len(v) if isinstance(v, tuple) else 1) or closed(v))
+    s = tuple(range(n))
+    total = checked_fold(lambda a, x: a + x, 0, seq_cursor(s), ClientContract(
+        inv=inv, convergence=lambda c, v: len(c) - len(v), collection=s))
+    assert total == sum(s)
+    assert sum(walked) <= 2 * n
+
+
+def test_an_equal_integer_read_whole_changes_nothing(monkeypatch):
+    # "len s" is a hoisted slot; past the small ints, each check computes it
+    # as a new int object, which must read as unchanged
+    n = 600
+    s = tuple(range(n))
+    env = {"s": s, "S": FiniteSet(range(20)), "row": SeqView(list(s), n)}
+    reads = []
+    getitem = SeqView.__getitem__
+    monkeypatch.setattr(SeqView, "__getitem__", lambda view, i: (
+        type(i) is int and reads.append(i)) or getitem(view, i))
+    for text, want in (
+            ("(fun v a -> forall i. 0 <= i < len v -> v[i] < len s)", n),
+            ("(fun v a -> forall x. mem x S -> row[x] < len s)", 20)):
+        inv = terms.eval_term(parse_term_text(text), env)
+        reads.clear()
+        total = checked_fold(lambda a, x: a + x, 0, seq_cursor(s), ClientContract(
+            inv=inv, convergence=lambda c, v: len(c) - len(v), collection=s))
+        assert total == sum(s)
+        # each binding evaluated once: in full it is n(n + 1)/2, or 20n
+        assert len(reads) == want
 
 
 # -- bounded evaluation errors -----------------------------------------------------------------

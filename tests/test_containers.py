@@ -233,6 +233,20 @@ class TestSinks:
         assert stack_of_seq(()).contents() == ()
         assert queue_of_seq(()).contents() == ()
 
+    @pytest.mark.parametrize("build", [stack_of_seq, queue_of_seq])
+    def test_a_builder_runs_inside_the_consumer_of_another_loop(self, build):
+        # the inner loop checks its own invariant, not the outer levels'
+        s = (1, 2, 3)
+        with collect_stats() as stats:
+            total = checked_fold(
+                lambda a, x: a + len(build((x, x)).contents()), 0, seq_cursor(s),
+                ClientContract(inv=lambda v, a: a == 2 * len(v),
+                               convergence=lambda c, v: len(c) - len(v),
+                               collection=s))
+        assert total == 6
+        # one outer check per step plus the first, three per inner build
+        assert stats.inv_checks == len(s) + 1 + 3 * len(s)
+
     def test_random_sequences_satisfy_postconditions(self):
         rng = random.Random(17)
         for _ in range(100):

@@ -1,4 +1,4 @@
-"""Resumed prefix forms against the straight path, through the engines.
+"""Resumed range forms against the straight path, through the engines.
 
 Each run is made twice: as the library runs it, and with every binding of
 ``unfold.terms.apply_lambda`` swapped for the reference interpreter's, so
@@ -30,6 +30,7 @@ from unfold import (
 )
 from unfold.dsl import parse_scenario, parse_term_text, run_scenario
 from unfold.terms import eval_term
+from unfold.values import SeqView
 
 import reference_eval
 
@@ -170,7 +171,7 @@ def test_c05_shapes_end_as_on_the_straight_path(s, data):
 
     # (b) a consumer dropping the effect of element ``at``: into a queue
     # (a reference cell, so the form evaluates in full) and into the
-    # accumulator (a grow name, so the form resumes)
+    # accumulator (read by index, so the form resumes)
     def queue_run():
         q = QueueRef()
         seen = []
@@ -206,21 +207,25 @@ def test_c05_shapes_end_as_on_the_straight_path(s, data):
 
 
 def test_only_the_library_path_resumes(monkeypatch):
-    resumed = []
-    resume = terms._PrefixMemo.resume
+    # the permitted and the sum evaluate their body, which reads one element
+    # of the visited view, at the new binding only; the straight path
+    # evaluates every binding at every check
+    reads = []
+    getitem = SeqView.__getitem__
 
-    def counting(memo, env, lo):
-        values, held, total = resume(memo, env, lo)
-        resumed.append(held)
-        return values, held, total
+    def counting(view, i):
+        if type(i) is int:
+            reads.append(i)
+        return getitem(view, i)
 
-    monkeypatch.setattr(terms._PrefixMemo, "resume", counting)
+    monkeypatch.setattr(SeqView, "__getitem__", counting)
     s = tuple(range(10))
+    n = len(s)
     run = lambda: ending(lambda: checked_fold(
         lambda a, x: a + x, 0, cursor(s, s),
         ClientContract(close(SUM_INV), close(REMAINING), s)))
     assert _straight(run)[0] == ("done", 45)
-    assert resumed == []
+    assert len(reads) == 2 * sum(range(n + 1))
+    reads.clear()
     assert run()[0] == ("done", 45)
-    # the permitted and the sum resume at every step after the first
-    assert sum(held > 0 for held in resumed) >= 2 * (len(s) - 1)
+    assert len(reads) == 2 * n

@@ -446,14 +446,15 @@ def test_long_implication_chains_compile_and_evaluate():
     assert terms.free_vars(guarded) == {"n", "s"}
 
 
-# -- prefix forms that resume from their last evaluation -----------------------------
+# -- range forms that resume from their last evaluation ------------------------------
 #
 # One compiled form evaluated on a sequence of environments, each made from
 # the one before by one change, must agree with the reference interpreter at
-# every call. "s" and "t" are grow names of most forms; "n", "p" are fixed
-# names of the closed domain, "c" a reference cell, "r" a tuple holding one
-# and "fs" a tuple holding a closure, all of which must make the form
-# evaluate in full. The cell is also an element the sequences can grow by.
+# every call. Most forms read "s" and "t" only by index; "lo", "n" and "hi"
+# move both ways; "p" is replaced by an equal copy, "c" is a reference cell,
+# "r" a tuple holding one and "fs" a tuple holding a closure, each of which
+# must make the form evaluate in full. The cell is also an element the
+# sequences can grow by.
 
 LONG = "x" * 50  # equal copies of it are distinct objects, unequal to value_eq
 CELL = CellRef(1)
@@ -491,6 +492,9 @@ PREFIX_FORMS = [
     _sum(IntLit(0), App(Lambda((VarPat("x"),), Arith("-", Var("x"), Var("n"))),
                         (Index(S, I),))),
     _sum(Var("lo"), Cmp("<", Index(S, I), Index(T, I))),
+    SumTerm(Lambda((VarPat("i"),), Index(S, I)), Var("lo"), Var("hi")),
+    ForallRange("i", IntLit(0), Arith("-", Len(T), Var("n")),
+                Cmp("<=", Index(S, I), Index(T, I))),
 ]
 # elements of the grown sequences: ints one time in two, else the long
 # string, a short tuple, the cell or a tuple holding it
@@ -517,6 +521,7 @@ CHANGES = st.one_of(
                   ITEMS),
         st.tuples(st.just("lo"), st.integers(-1, 2)),
         st.tuples(st.just("n"), st.integers(-1, 2)),
+        st.tuples(st.just("hi"), st.integers(-1, 6)),
         st.tuples(st.just("p")),
         st.tuples(st.just("cell"), st.integers(-2, 5)),
         st.tuples(st.just("limit"), st.integers(-2, 5)),
@@ -541,7 +546,7 @@ def _change(env, change):
         if seq:
             j %= len(seq)
             env[name] = seq[:j] + (item,) + seq[j + 1:]
-    elif kind in ("lo", "n"):
+    elif kind in ("lo", "n", "hi"):
         env[kind] = args[0]
     elif kind == "p":
         env["p"] = _copy(env["p"])  # equal, not identical: must evaluate in full
@@ -554,8 +559,8 @@ def _change(env, change):
 
 
 def _prefix_env():
-    return {"s": (0, 1, 2), "t": (0, 1, 2), "lo": 0, "n": 1, "p": (0, 1, LONG), "c": CELL,
-            "r": (CELL, 3), "fs": (BELOW_LIMIT,)}
+    return {"s": (0, 1, 2), "t": (0, 1, 2), "lo": 0, "n": 1, "hi": 2, "p": (0, 1, LONG),
+            "c": CELL, "r": (CELL, 3), "fs": (BELOW_LIMIT,)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -636,15 +641,17 @@ def test_checked_fold_applies_the_sum_body_once_per_step(monkeypatch):
     body = Lambda((VarPat("i"),), Index(v, I))
     inv = terms.lam("v a", Cmp("=", Var("a"), SumTerm(body, IntLit(0), Len(v))))
     measure = terms.lam("c v", Arith("-", Len(Var("c")), Len(v)))
-    applied = []
-    apply_lambda = terms.apply_lambda
+    # the bodies of the permitted's forall and of the sum each read one
+    # element of the visited view per binding evaluated
+    reads = []
+    getitem = SeqView.__getitem__
 
-    def counting(f, args):
-        if getattr(f, "lam", f) is body:
-            applied.append(args[0])
-        return apply_lambda(f, args)
+    def counting(view, i):
+        if type(i) is int:
+            reads.append(i)
+        return getitem(view, i)
 
-    monkeypatch.setattr(terms, "apply_lambda", counting)
+    monkeypatch.setattr(SeqView, "__getitem__", counting)
     with collect_stats() as stats:
         total = checked_fold(lambda a, x: a + x, 0,
                              create_cursor(s, permitted, complete),
@@ -653,4 +660,4 @@ def test_checked_fold_applies_the_sum_body_once_per_step(monkeypatch):
     assert stats.inv_checks == stats.permitted_checks == n + 1
     assert stats.complete_checks == 1
     # resumed at every check: one new binding each; in full it is n * (n + 1) / 2
-    assert len(applied) <= 2 * n + 10
+    assert len(reads) == 2 * n
